@@ -38,10 +38,6 @@ def _resolve(source: str) -> FiniteAlgebra:
         return parse_algebra(fh.read())
 
 
-def _blocks(theta: Congruence) -> list[list[int]]:
-    return theta.blocks()
-
-
 def _blocks_text(theta: Congruence) -> str:
     return json.dumps(theta.blocks(), separators=(",", ":"))
 
@@ -72,7 +68,7 @@ def _np_like(args, caps: Caps, check: str, A: FiniteAlgebra, B: FiniteAlgebra,
         head = f"{check}({A.name}, {B.name}): fails at ({a}, {b})"
         witness = {"a": a, "b": b}
     payload = _payload(check, [A.name, B.name], verdict.holds, witness, 1,
-                       theta=_blocks(verdict.theta))
+                       theta=verdict.theta.blocks())
     _emit(args, payload, [head, f"theta blocks: {_blocks_text(verdict.theta)}"])
     return 0 if verdict.holds else 1
 

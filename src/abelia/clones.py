@@ -47,8 +47,8 @@ def evaluate_term(A: FiniteAlgebra, term: Term, k: int) -> tuple[int, ...]:
     def run(t: Term, args: tuple[int, ...]) -> int:
         if t.head in A.tables:
             return A.apply(t.head, *(run(s, args) for s in t.args))
-        i = int(t.head[1:])
-        if not (t.head.startswith("x") and 1 <= i <= k):
+        i = int(t.head[1:]) if t.head.startswith("x") and t.head[1:].isdecimal() else 0
+        if not 1 <= i <= k:
             raise ValueError(f"unknown symbol {t.head!r} in a {k}-ary term")
         return args[i - 1]
 
@@ -162,31 +162,24 @@ def generate_term_ops(A: FiniteAlgebra, arity: int,
     return TermOps(arity, tuple(ops), complete)
 
 
-def find_subtraction_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
-    """Search the binary clone part for s with s(x,x)=0 and s(x,0)=x."""
+def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, laws) -> TermSearch:
+    """Search the binary clone part for a table t with laws(t, n) true."""
     caps = caps or DEFAULT_CAPS
     n = A.size
-
-    def is_subtraction(op: TermOp) -> bool:
-        t = op.table
-        return all(t[x * n + x] == 0 and t[x * n] == x for x in range(n))
-
-    ops, complete, hit = _closure(A, 2, caps.clone_tables, stop=is_subtraction)
+    ops, complete, hit = _closure(A, 2, caps.clone_tables,
+                                  stop=lambda op: laws(op.table, n))
     if hit is not None:
         return TermSearch("found", hit, len(ops))
     return TermSearch("none" if complete else "unknown", None, len(ops))
+
+
+def find_subtraction_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
+    """Search the binary clone part for s with s(x,x)=0 and s(x,0)=x."""
+    return _binary_term_search(A, caps, lambda t, n: all(
+        t[x * n + x] == 0 and t[x * n] == x for x in range(n)))
 
 
 def find_unit_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
     """Search the binary clone part for p with p(x,0)=x and p(0,x)=x."""
-    caps = caps or DEFAULT_CAPS
-    n = A.size
-
-    def is_unit(op: TermOp) -> bool:
-        t = op.table
-        return all(t[x * n] == x and t[x] == x for x in range(n))
-
-    ops, complete, hit = _closure(A, 2, caps.clone_tables, stop=is_unit)
-    if hit is not None:
-        return TermSearch("found", hit, len(ops))
-    return TermSearch("none" if complete else "unknown", None, len(ops))
+    return _binary_term_search(A, caps, lambda t, n: all(
+        t[x * n] == x and t[x] == x for x in range(n)))

@@ -69,36 +69,10 @@ class Congruence:
         return Congruence(size, tuple(rep))
 
 
-def _canonical(size: int, find) -> tuple[int, ...]:
-    least: dict[int, int] = {}
-    for x in range(size):
-        r = find(x)
-        if r not in least or x < least[r]:
-            least[r] = x
-    return tuple(least[find(x)] for x in range(size))
-
-
-def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
-    """The least congruence of A identifying every pair in ``pairs``.
-
-    Standard worklist closure: when two classes merge, every pair of table
-    outputs that differ only in that coordinate is queued for merging.
-    Single-coordinate substitutions suffice because blockwise-equal argument
-    tuples are linked by a chain of them.
-    """
-    caps = caps or DEFAULT_CAPS
+def _op_data(A: FiniteAlgebra) -> list[tuple[tuple[int, ...], int, list[int]]]:
+    """(table, stride, bases) per non-constant operation and argument position:
+    the entries with argument x in position p sit at base + x * stride."""
     n = A.size
-    if n > caps.cg:
-        raise CapExceeded("congruence generation carrier", n, caps.cg)
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     op_data = []
     for opname, arity in A.signature.ops:
         if arity == 0:
@@ -109,12 +83,29 @@ def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
             bases = [i for i, args in enumerate(itertools.product(range(n), repeat=arity))
                      if args[p] == 0]
             op_data.append((table, stride, bases))
+    return op_data
 
-    queue: list[tuple[int, int]] = []
-    for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"generator pair ({x}, {y}) out of range")
-        queue.append((x, y))
+
+def _close(op_data, parent: list[int], queue: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The least congruence containing the partition ``parent`` and every
+    pair in ``queue``, as a least-representative table.
+
+    ``parent`` is a union-find forest whose partition is already closed under
+    the operations (the discrete partition, or a congruence's rep table).
+    Standard worklist closure: when two classes merge, every pair of table
+    outputs that differ only in that coordinate is queued for merging.
+    Single-coordinate substitutions suffice because blockwise-equal argument
+    tuples are linked by a chain of them.  The larger root always goes under
+    the smaller, so every root is the least member of its block and
+    parent[x] <= x throughout; one ascending pass then resolves every root.
+    """
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     while queue:
         x, y = queue.pop()
         rx, ry = find(x), find(y)
@@ -129,7 +120,23 @@ def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
                 u, v = table[base + ox], table[base + oy]
                 if find(u) != find(v):
                     queue.append((u, v))
-    return Congruence(n, _canonical(n, find))
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]
+    return tuple(parent)
+
+
+def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
+    """The least congruence of A identifying every pair in ``pairs``."""
+    caps = caps or DEFAULT_CAPS
+    n = A.size
+    if n > caps.cg:
+        raise CapExceeded("congruence generation carrier", n, caps.cg)
+    queue: list[tuple[int, int]] = []
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"generator pair ({x}, {y}) out of range")
+        queue.append((x, y))
+    return Congruence(n, _close(_op_data(A), list(range(n)), queue))
 
 
 def kernel_congruence(h: Homomorphism) -> Congruence:
@@ -187,31 +194,28 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
 
 def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     n = A.size
+    if n > caps.cg:
+        raise CapExceeded("congruence generation carrier", n, caps.cg)
+    op_data = _op_data(A)
     # Principal congruences, with a generating pair remembered for each.
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
     for x in range(n):
         for y in range(x + 1, n):
-            theta = cg(A, [(x, y)], caps)
-            principal.setdefault(theta.rep, (x, y))
+            principal.setdefault(_close(op_data, list(range(n)), [(x, y)]), (x, y))
 
-    ops_free = all(arity == 0 for _, arity in A.signature.ops)
     seen: set[tuple[int, ...]] = {tuple(range(n))}
     frontier = list(principal)
     seen.update(frontier)
     # Every congruence is a join of principals, so closing the principal set
-    # under join-with-a-principal reaches the whole lattice.
+    # under join-with-a-principal reaches the whole lattice.  A join starts
+    # from rep itself, which is sound because rep is already a congruence.
     while frontier:
         nxt = []
         for rep in frontier:
-            for prep, pair in principal.items():
+            for pair in principal.values():
                 if rep[pair[0]] == rep[pair[1]]:
                     continue
-                if ops_free:
-                    joined = _merge_blocks(rep, prep)
-                else:
-                    gens = [(x, rep[x]) for x in range(n) if rep[x] != x]
-                    gens.append(pair)
-                    joined = cg(A, gens, caps).rep
+                joined = _close(op_data, list(rep), [pair])
                 if joined not in seen:
                     seen.add(joined)
                     nxt.append(joined)
@@ -219,21 +223,3 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     out = [Congruence(n, rep) for rep in seen]
     out.sort(key=lambda t: (-t.num_blocks, t.rep))
     return out
-
-
-def _merge_blocks(rep: tuple[int, ...], other: tuple[int, ...]) -> tuple[int, ...]:
-    # Join of partitions with no operations in the way: union the blocks that
-    # other links, iterating to a fixpoint over its merge requests.
-    out = list(rep)
-    groups: dict[int, list[int]] = {}
-    for x, r in enumerate(other):
-        groups.setdefault(r, []).append(x)
-    for members in groups.values():
-        if len(members) == 1:
-            continue
-        target = min(out[x] for x in members)
-        roots = {out[x] for x in members}
-        for x in range(len(out)):
-            if out[x] in roots:
-                out[x] = target
-    return tuple(out)

@@ -23,10 +23,9 @@ def test_evaluate_term(cat):
     expect = tuple((x - y) % 3 for x, y in itertools.product(range(3), repeat=2))
     assert table == expect
     assert evaluate_term(Z3, Term("zero"), 1) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        evaluate_term(Z3, Term("x3"), 2)
-    with pytest.raises(ValueError):
-        evaluate_term(Z3, Term("mystery"), 1)
+    for symbol, k in [("x3", 2), ("mystery", 1), ("y", 1)]:
+        with pytest.raises(ValueError, match="unknown symbol"):
+            evaluate_term(Z3, Term(symbol), k)
 
 
 # acceptance criterion 8: closures against the depth-6 oracle, all 2-element fixtures

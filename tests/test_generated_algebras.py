@@ -1,0 +1,73 @@
+"""Congruence generation, joins and lattices checked against the partition
+filter on seeded random pointed algebras, beyond the builtin fixtures."""
+
+import random
+
+import pytest
+
+from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra, Signature,
+                    all_congruences, cg, join)
+from abelia.core import ZERO_OP, op_table
+from oracles import congruence_reps_by_filter, partitions
+
+
+def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlgebra:
+    """Up to three unary/binary/ternary ops plus up to two constants.
+
+    Each op draws its values from a random subset of the carrier, so that
+    non-trivial congruences are common rather than rare.
+    """
+    ops, tables = [(ZERO_OP, 0)], {ZERO_OP: (0,)}
+    for i in range(rng.randint(0, 2)):
+        name = f"c{i}"
+        ops.append((name, 0))
+        tables[name] = (rng.randrange(1, size) if size > 1 else 0,)
+    for i in range(rng.randint(1, 3)):
+        name, arity = f"f{i}", rng.choice((1, 1, 2, 2, 3))
+        values = rng.sample(range(size), rng.randint(1, size))
+        ops.append((name, arity))
+        tables[name] = op_table(size, arity, lambda *_: rng.choice(values))
+    return FiniteAlgebra(f"{tag}{size}", size, Signature(tuple(ops)), tables)
+
+
+def least_containing(oracle, pairs) -> tuple[int, ...]:
+    # The least congruence identifying the pairs has strictly more blocks
+    # than any other one that does, since it is contained in all of them.
+    above = [r for r in oracle if all(r[x] == r[y] for x, y in pairs)]
+    return max(above, key=lambda r: len(set(r)))
+
+
+def generated(count: int, seed: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield rng, random_pointed_algebra(rng, 1 + i % 5, "R")
+
+
+def test_lattices_match_partition_filter():
+    for _, A in generated(60, seed=2025):
+        oracle = [tuple(r) for r in congruence_reps_by_filter(A)]
+        expect = sorted(oracle, key=lambda r: (-len(set(r)), r))
+        assert [t.rep for t in all_congruences(A)] == expect, A.signature
+
+
+def test_cg_and_join_match_partition_filter():
+    for rng, A in generated(60, seed=7):
+        n = A.size
+        oracle = [tuple(r) for r in congruence_reps_by_filter(A)]
+        every = list(partitions(n))
+        for _ in range(4):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+            assert cg(A, pairs).rep == least_containing(oracle, pairs)
+            # join accepts arbitrary partitions, not only congruences
+            t1, t2 = (Congruence(n, rng.choice(every)) for _ in range(2))
+            both = [(x, t.rep[x]) for t in (t1, t2) for x in range(n)]
+            assert join(A, t1, t2).rep == least_containing(oracle, both)
+
+
+def test_lattice_refused_above_the_cg_cap():
+    rng = random.Random(11)
+    A = random_pointed_algebra(rng, 5, "capped")
+    with pytest.raises(CapExceeded) as err:
+        all_congruences(A, Caps(cg=4, lattice=12))
+    assert err.value.what == "congruence generation carrier"
+    assert (err.value.needed, err.value.limit) == (5, 4)
