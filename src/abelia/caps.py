@@ -32,8 +32,8 @@ class Caps:
     def from_env(cls, text: str | None) -> "Caps":
         """Parse an override string like "cg=256,lattice=12,hom_src=9,hom_tgt=4".
 
-        Unset keys keep their defaults.  Unknown keys or non-integer values
-        raise ValueError.
+        Unset keys keep their defaults.  Unknown keys, non-integer values and
+        negative values raise ValueError.
         """
         if not text:
             return cls()
@@ -51,6 +51,8 @@ class Caps:
                 overrides[key] = int(value)
             except ValueError:
                 raise ValueError(f"cap {key!r} needs an integer, got {value!r}") from None
+            if overrides[key] < 0:
+                raise ValueError(f"cap {key!r} must not be negative, got {overrides[key]}")
         return cls(**overrides)
 
 

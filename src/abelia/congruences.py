@@ -8,11 +8,11 @@ member of the block of x, so rep[x] <= x and rep[rep[x]] == rep[x].
 
 from __future__ import annotations
 
-import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import CapExceeded, FiniteAlgebra, Homomorphism
+from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductTables
 
 
 @dataclass(frozen=True)
@@ -69,35 +69,69 @@ class Congruence:
         return Congruence(size, tuple(rep))
 
 
-def _op_data(A: FiniteAlgebra) -> list[tuple[tuple[int, ...], int, list[int]]]:
-    """(table, stride, bases) per non-constant operation and argument position:
-    the entries with argument x in position p sit at base + x * stride."""
+def _op_rows(A: FiniteAlgebra) -> list:
+    """One row function per non-constant operation and argument position.
+
+    row(x) lists the operation's outputs with x in that position, taken over
+    every setting of the other arguments in a fixed order, so two rows of one
+    function line up entry by entry.  A product's row of (a, b) is the outer
+    sum of its factors' rows of a and b; it is never kept, since keeping every
+    row would rebuild the product's tables.
+    """
+    if isinstance(A.tables, ProductTables):
+        nb = A.tables.right.size
+
+        def outer(row_a, row_b):
+            def row(e: int) -> list[int]:
+                a, b = divmod(e, nb)
+                right = row_b(b)
+                return [ua + ub for ua in [u * nb for u in row_a(a)] for ub in right]
+            return row
+
+        return [outer(row_a, row_b) for row_a, row_b in
+                zip(_op_rows(A.tables.left), _op_rows(A.tables.right))]
     n = A.size
-    op_data = []
+    rows = []
     for opname, arity in A.signature.ops:
-        if arity == 0:
-            continue
-        table = A.tables[opname]
         for p in range(arity):
-            stride = n ** (arity - 1 - p)
-            bases = [i for i, args in enumerate(itertools.product(range(n), repeat=arity))
-                     if args[p] == 0]
-            op_data.append((table, stride, bases))
-    return op_data
+            rows.append(_table_row(A.tables[opname], n, n ** (arity - 1 - p)))
+    return rows
 
 
-def _close(op_data, parent: list[int], queue: list[tuple[int, int]]) -> tuple[int, ...]:
+def _table_row(table: tuple[int, ...], n: int, stride: int):
+    # The entries with argument x in the position of this stride are the
+    # runs table[x*stride : (x+1)*stride] of every block of n*stride entries.
+    # Each row is cut once and kept: at most the table's size per position.
+    block = n * stride
+    cache: list[list[int] | None] = [None] * n
+
+    def row(x: int) -> list[int]:
+        got = cache[x]
+        if got is None:
+            got = cache[x] = [v for start in range(x * stride, len(table), block)
+                              for v in table[start:start + stride]]
+        return got
+    return row
+
+
+def _close(rows, parent: list[int], pairs) -> tuple[int, ...]:
     """The least congruence containing the partition ``parent`` and every
-    pair in ``queue``, as a least-representative table.
+    pair in ``pairs``, as a least-representative table.
 
     ``parent`` is a union-find forest whose partition is already closed under
     the operations (the discrete partition, or a congruence's rep table).
-    Standard worklist closure: when two classes merge, every pair of table
-    outputs that differ only in that coordinate is queued for merging.
-    Single-coordinate substitutions suffice because blockwise-equal argument
-    tuples are linked by a chain of them.  The larger root always goes under
-    the smaller, so every root is the least member of its block and
-    parent[x] <= x throughout; one ascending pass then resolves every root.
+    Unions are eager (R. Freese, "Computing congruences efficiently",
+    Algebra Universalis 59, 2008): two classes are linked as soon as a pair
+    of their members must be identified, and only the pair of roots just
+    linked goes on the worklist.  Every entry is a link, and each link
+    removes a block, so the worklist never holds more than n - 1 entries.
+    Popping a linked pair (r, s) links every pair of outputs row(r)[i],
+    row(s)[i] of every row.  This suffices: the result is the equivalence
+    closure of the links made, and blockwise-equal argument tuples are
+    joined by a chain of single-coordinate substitutions across links.
+    The larger root always goes under the smaller, so every root is the
+    least member of its block and parent[x] <= x throughout; one ascending
+    pass then resolves every root.
     """
 
     def find(x: int) -> int:
@@ -106,20 +140,27 @@ def _close(op_data, parent: list[int], queue: list[tuple[int, int]]) -> tuple[in
             x = parent[x]
         return x
 
-    while queue:
-        x, y = queue.pop()
+    linked: list[tuple[int, int]] = []
+    for x, y in pairs:
         rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        for table, stride, bases in op_data:
-            ox, oy = ry * stride, rx * stride
-            for base in bases:
-                u, v = table[base + ox], table[base + oy]
-                if find(u) != find(v):
-                    queue.append((u, v))
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            linked.append((rx, ry))
+    while linked:
+        r, s = linked.pop()
+        for row in rows:
+            # Two elements with one parent stay in one block, since blocks
+            # only grow, so this cheap filter drops only identified pairs.
+            for u, v in [(u, v) for u, v in zip(row(r), row(s))
+                         if parent[u] != parent[v]]:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    if rv < ru:
+                        ru, rv = rv, ru
+                    parent[rv] = ru
+                    linked.append((ru, rv))
     for x in range(len(parent)):
         parent[x] = parent[parent[x]]
     return tuple(parent)
@@ -131,12 +172,11 @@ def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
     n = A.size
     if n > caps.cg:
         raise CapExceeded("congruence generation carrier", n, caps.cg)
-    queue: list[tuple[int, int]] = []
+    pairs = list(pairs)
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"generator pair ({x}, {y}) out of range")
-        queue.append((x, y))
-    return Congruence(n, _close(_op_data(A), list(range(n)), queue))
+    return Congruence(n, _close(_op_rows(A), list(range(n)), pairs))
 
 
 def kernel_congruence(h: Homomorphism) -> Congruence:
@@ -167,7 +207,12 @@ def meet(t1: Congruence, t2: Congruence) -> Congruence:
     return Congruence(t1.size, tuple(rep))
 
 
-_lattice_cache: dict = {}
+# The lattices of the most recently used algebras, least recent first.
+# Shifting and centralic on one product revisit its lattice back to back,
+# and 16 holds the lattices of all same-signature builtin pairs within the
+# default lattice cap (16 distinct tables), which surveys revisit.
+LATTICE_CACHE_SIZE = 16
+_lattice_cache: OrderedDict = OrderedDict()
 
 
 def _algebra_key(A: FiniteAlgebra):
@@ -178,8 +223,9 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
     """Every congruence of A, sorted by block count descending then rep table.
 
     The discrete congruence comes first and the all-pairs congruence last.
-    Results are memoized per operation-table content since several checks
-    revisit the same product lattices.
+    The lattices of the last ``LATTICE_CACHE_SIZE`` algebras are kept, keyed
+    by operation-table content, since several checks revisit the same
+    product lattice.
     """
     caps = caps or DEFAULT_CAPS
     if A.size > caps.lattice:
@@ -189,6 +235,10 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
     if got is None:
         got = _build_lattice(A, caps)
         _lattice_cache[key] = got
+        if len(_lattice_cache) > LATTICE_CACHE_SIZE:
+            _lattice_cache.popitem(last=False)
+    else:
+        _lattice_cache.move_to_end(key)
     return list(got)
 
 
@@ -196,12 +246,12 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     n = A.size
     if n > caps.cg:
         raise CapExceeded("congruence generation carrier", n, caps.cg)
-    op_data = _op_data(A)
+    rows = _op_rows(A)
     # Principal congruences, with a generating pair remembered for each.
     principal: dict[tuple[int, ...], tuple[int, int]] = {}
     for x in range(n):
         for y in range(x + 1, n):
-            principal.setdefault(_close(op_data, list(range(n)), [(x, y)]), (x, y))
+            principal.setdefault(_close(rows, list(range(n)), [(x, y)]), (x, y))
 
     seen: set[tuple[int, ...]] = {tuple(range(n))}
     frontier = list(principal)
@@ -215,7 +265,7 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
             for pair in principal.values():
                 if rep[pair[0]] == rep[pair[1]]:
                     continue
-                joined = _close(op_data, list(rep), [pair])
+                joined = _close(rows, list(rep), [pair])
                 if joined not in seen:
                     seen.add(joined)
                     nxt.append(joined)

@@ -5,12 +5,15 @@ Elements of an algebra of size n are the integers 0..n-1, and 0 is always
 the distinguished point (the value of the nullary operation ``zero``).
 Operation tables are flat tuples in row-major order over argument tuples
 (last argument varies fastest), so a k-ary operation on n elements has a
-table of n**k entries.
+table of n**k entries.  A product's tables are built per operation on
+first read and then kept, so code that reads a product's operations through
+its factors (congruence generation does) never builds them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -103,12 +106,21 @@ def op_table(size: int, arity: int, fn) -> tuple[int, ...]:
     return tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
 
 
+def _check_table(opname: str, arity: int, size: int, table: tuple[int, ...]) -> None:
+    expect = size ** arity
+    if len(table) != expect:
+        raise InvalidAlgebra(
+            f"operation {opname}: table has {len(table)} entries, expected {expect}")
+    if any(not (0 <= v < size) for v in table):
+        raise InvalidAlgebra(f"operation {opname}: table entry out of range")
+
+
 @dataclass(frozen=True, repr=False)
 class FiniteAlgebra:
     name: str
     size: int
     signature: Signature
-    tables: dict[str, tuple[int, ...]]
+    tables: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self):
         if self.size < 1:
@@ -117,14 +129,13 @@ class FiniteAlgebra:
         if set(self.tables) != want:
             raise InvalidAlgebra(
                 f"tables {sorted(self.tables)} do not match signature {sorted(want)}")
-        for opname, arity in self.signature.ops:
-            table = self.tables[opname]
-            expect = self.size ** arity
-            if len(table) != expect:
-                raise InvalidAlgebra(
-                    f"operation {opname}: table has {len(table)} entries, expected {expect}")
-            if any(not (0 <= v < self.size) for v in table):
-                raise InvalidAlgebra(f"operation {opname}: table entry out of range")
+        if isinstance(self.tables, ProductTables):
+            # Each table is checked when it is first built.
+            if (self.tables.size, self.tables.signature) != (self.size, self.signature):
+                raise InvalidAlgebra("product tables do not match the carrier or signature")
+        else:
+            for opname, arity in self.signature.ops:
+                _check_table(opname, arity, self.size, self.tables[opname])
         if self.tables[ZERO_OP] != (0,):
             raise InvalidAlgebra("zero must name element 0")
 
@@ -252,30 +263,59 @@ class ProductAlgebra(FiniteAlgebra):
         return Homomorphism(self.right, self, tuple(range(self.right.size)))
 
 
+class ProductTables(Mapping):
+    """The operation tables of left x right, in the row-major layout of any
+    other table, each built and checked on first read and then kept."""
+
+    def __init__(self, left: FiniteAlgebra, right: FiniteAlgebra):
+        self.left = left
+        self.right = right
+        self.size = left.size * right.size
+        self.signature = left.signature
+        self._built: dict[str, tuple[int, ...]] = {}
+
+    def __getitem__(self, opname: str) -> tuple[int, ...]:
+        table = self._built.get(opname)
+        if table is None:
+            arity = self.signature.arity(opname)
+            table = _product_table(self.left, self.right, opname, arity)
+            _check_table(opname, arity, self.size, table)
+            self._built[opname] = table
+        return table
+
+    def __contains__(self, opname) -> bool:
+        return any(name == opname for name, _ in self.signature.ops)
+
+    def __iter__(self) -> Iterator[str]:
+        return (name for name, _ in self.signature.ops)
+
+    def __len__(self) -> int:
+        return len(self.signature.ops)
+
+
+def _product_table(A: FiniteAlgebra, B: FiniteAlgebra, opname: str,
+                   arity: int) -> tuple[int, ...]:
+    ta = A.tables[opname]
+    tb = B.tables[opname]
+    nb = B.size
+    if arity == 0:
+        return (ta[0] * nb + tb[0],)
+    out = []
+    for args in itertools.product(range(A.size * nb), repeat=arity):
+        ia = ib = 0
+        for e in args:
+            i, j = divmod(e, nb)
+            ia = ia * A.size + i
+            ib = ib * nb + j
+        out.append(ta[ia] * nb + tb[ib])
+    return tuple(out)
+
+
 def product(A: FiniteAlgebra, B: FiniteAlgebra) -> ProductAlgebra:
     if A.signature != B.signature:
         raise SignatureMismatch(f"product: {A.name} and {B.name} have different signatures")
-    nb = B.size
-    n = A.size * nb
-    tables: dict[str, tuple[int, ...]] = {}
-    for opname, arity in A.signature.ops:
-        if arity == 0:
-            ta = A.tables[opname]
-            tb = B.tables[opname]
-            tables[opname] = (ta[0] * nb + tb[0],)
-            continue
-        ta = A.tables[opname]
-        tb = B.tables[opname]
-        out = []
-        for args in itertools.product(range(n), repeat=arity):
-            ia = ib = 0
-            for e in args:
-                i, j = divmod(e, nb)
-                ia = ia * A.size + i
-                ib = ib * nb + j
-            out.append(ta[ia] * nb + tb[ib])
-        tables[opname] = tuple(out)
-    return ProductAlgebra(f"{A.name}x{B.name}", n, A.signature, tables, A, B)
+    return ProductAlgebra(f"{A.name}x{B.name}", A.size * B.size, A.signature,
+                          ProductTables(A, B), A, B)
 
 
 def pairing_hom(prod: ProductAlgebra, a: Homomorphism, b: Homomorphism) -> Homomorphism:

@@ -220,6 +220,13 @@ def test_bad_caps_env(capsys, monkeypatch):
     assert code == 2
 
 
+def test_negative_caps_env_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ABELIA_CAPS", "cg=-1")
+    code, out, err = run(capsys, "np", "@builtin:Z2", "@builtin:Z2")
+    assert code == 2
+    assert err.startswith("error:") and "cg" in err and not out
+
+
 def test_caps_env_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("ABELIA_CAPS", "cg=8")
     code, out, err = run(capsys, "np", "@builtin:Z3", "@builtin:Z3")

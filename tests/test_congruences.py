@@ -1,8 +1,8 @@
 import pytest
 
-from abelia import (Caps, CapExceeded, Congruence, all_congruences, cg,
-                    identity_hom, join, kernel_congruence, meet, product,
-                    quotient, zero_hom)
+from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra,
+                    all_congruences, cg, identity_hom, join, kernel_congruence,
+                    meet, op_table, product, quotient, zero_hom)
 from oracles import BELL, congruence_reps_by_filter, partition_compatible
 
 
@@ -159,3 +159,27 @@ def test_lattice_memoization_returns_copies(cat):
     assert first == second
     first.pop()
     assert len(all_congruences(cat["Z4"])) == len(second)
+
+
+def test_lattice_cache_is_bounded_and_keeps_recent(cat, monkeypatch):
+    import abelia.congruences as congruences
+    builds = []
+    build = congruences._build_lattice
+    monkeypatch.setattr(congruences, "_build_lattice",
+                        lambda A, caps: builds.append(A.size) or build(A, caps))
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    bound = congruences.LATTICE_CACHE_SIZE
+    caps = Caps(lattice=bound + 2)
+    cyclic = [FiniteAlgebra(f"Z{n}", n, cat["Z2"].signature, {
+        "zero": (0,), "add": op_table(n, 2, lambda x, y, n=n: (x + y) % n),
+        "neg": op_table(n, 1, lambda x, n=n: -x % n)}) for n in range(1, bound + 3)]
+    for A in cyclic:
+        all_congruences(A, caps)
+        assert len(congruences._lattice_cache) <= bound
+        # the shifting/centralic pattern: a repeat right away is a hit
+        all_congruences(A, caps)
+        assert builds.count(A.size) == 1
+    # the least recent lattices were dropped, so they are built again
+    all_congruences(cyclic[0], caps)
+    assert builds.count(1) == 2
+    assert len(congruences._lattice_cache) == bound

@@ -1,14 +1,17 @@
-"""Congruence generation, joins and lattices checked against the partition
-filter on seeded random pointed algebras, beyond the builtin fixtures."""
+"""Congruence generation, joins, lattices, products and the pair-level
+law checked against the oracles on seeded random pointed algebras, beyond
+the builtin fixtures."""
 
 import random
 
 import pytest
 
 from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra, Signature,
-                    all_congruences, cg, join)
+                    all_congruences, builtin, cg, check_np_pair, join,
+                    list_builtins, product)
 from abelia.core import ZERO_OP, op_table
-from oracles import congruence_reps_by_filter, partitions
+from oracles import (congruence_reps_by_filter, np_partition_oracle,
+                     oracle_product, partitions)
 
 
 def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlgebra:
@@ -28,6 +31,25 @@ def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlg
         ops.append((name, arity))
         tables[name] = op_table(size, arity, lambda *_: rng.choice(values))
     return FiniteAlgebra(f"{tag}{size}", size, Signature(tuple(ops)), tables)
+
+
+def random_like(rng: random.Random, A: FiniteAlgebra, size: int, tag: str) -> FiniteAlgebra:
+    """Fresh random tables of A's signature on a carrier of the given size."""
+    tables = {}
+    for name, arity in A.signature.ops:
+        if name == ZERO_OP:
+            tables[name] = (0,)
+        elif arity == 0:
+            tables[name] = (rng.randrange(1, size) if size > 1 else 0,)
+        else:
+            values = rng.sample(range(size), rng.randint(1, size))
+            tables[name] = op_table(size, arity, lambda *_: rng.choice(values))
+    return FiniteAlgebra(f"{tag}{size}", size, A.signature, tables)
+
+
+def materialised(P: FiniteAlgebra) -> FiniteAlgebra:
+    """The same algebra with its tables read out into a plain dict."""
+    return FiniteAlgebra(P.name, P.size, P.signature, dict(P.tables))
 
 
 def least_containing(oracle, pairs) -> tuple[int, ...]:
@@ -71,3 +93,46 @@ def test_lattice_refused_above_the_cg_cap():
         all_congruences(A, Caps(cg=4, lattice=12))
     assert err.value.what == "congruence generation carrier"
     assert (err.value.needed, err.value.limit) == (5, 4)
+
+
+def generated_triples(count: int, seed: int):
+    """(A, B, C) sharing one random signature, each of size 1 to 3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        A = random_pointed_algebra(rng, 1 + i % 3, "A")
+        yield rng, A, random_like(rng, A, 1 + (i // 3) % 3, "B"), \
+            random_like(rng, A, rng.randint(1, 3), "C")
+
+
+def test_cg_on_products_matches_materialised_tables():
+    for rng, A, B, C in generated_triples(45, seed=31):
+        for P in (product(A, B), product(A, product(B, C))):
+            plain = materialised(P)
+            assert plain.tables == oracle_product(P.left, P.right).tables
+            n = P.size
+            for _ in range(3):
+                pairs = [(rng.randrange(n), rng.randrange(n))
+                         for _ in range(rng.randint(0, 3))]
+                assert cg(P, pairs).rep == cg(plain, pairs).rep, (P.name, pairs)
+
+
+def test_np_matches_partition_oracle_on_generated_pairs():
+    checked = 0
+    for _, A, B, _ in generated_triples(60, seed=47):
+        if A.size * B.size > 6:
+            continue
+        checked += 1
+        assert check_np_pair(A, B).holds == np_partition_oracle(A, B), A.signature
+    assert checked >= 30
+
+
+def test_product_tables_match_definition_on_builtin_pairs():
+    algebras = [builtin(name).algebra for name in list_builtins()]
+    for A in algebras:
+        for B in algebras:
+            if A.signature != B.signature:
+                continue
+            expect = oracle_product(A, B).tables
+            P = product(A, B)
+            for opname, _ in A.signature.ops:
+                assert P.tables[opname] == expect[opname], (A.name, B.name, opname)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -6,7 +7,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, check_condition_b,
                     check_condition_d_instances, check_condition_e_instances,
                     check_np_pair, centralic_check, cross_check_conditions,
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
-                    product, shifting_shape_check, zero_hom)
+                    op_table, product, shifting_shape_check, zero_hom)
 from oracles import np_hom_refutes, np_partition_oracle
 
 
@@ -32,6 +33,23 @@ LARGE_GROUP_PAIRS = [
 def test_np_matches_partition_oracle(cat, left, right):
     verdict = check_np_pair(cat[left], cat[right])
     assert verdict.holds == np_partition_oracle(cat[left], cat[right])
+
+
+def test_np_on_a_product_builds_no_product_table(cat):
+    # Z6 x (Z6 x Z6) has 216 elements; its addition table alone would hold
+    # 46,656 entries, several MiB as a tuple of ints.
+    Z6 = FiniteAlgebra("Z6", 6, cat["Z2"].signature, {
+        "zero": (0,), "add": op_table(6, 2, lambda x, y: (x + y) % 6),
+        "neg": op_table(6, 1, lambda x: -x % 6)})
+    square = product(Z6, Z6)
+    tracemalloc.start()
+    try:
+        verdict = check_np_pair(Z6, square, Caps(cg=216))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.theta.num_blocks == 36
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("left,right", LARGE_GROUP_PAIRS)
