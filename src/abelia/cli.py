@@ -18,7 +18,7 @@ import sys
 from .caps import Caps
 from .catalog import builtin, list_builtins
 from .clones import find_subtraction_term, find_unit_term
-from .congruences import Congruence, all_congruences
+from .congruences import all_congruences
 from .core import (AbeliaError, CapExceeded, FiniteAlgebra, free_algebra,
                    parse_algebra, serialize_algebra)
 from .normalproj import (ConditionReport, check_condition_b,
@@ -31,15 +31,19 @@ from .structures import (crystallographic_report, derive_abelian,
 SCHEMA_VERSION = "1"
 
 
-def _resolve(source: str) -> FiniteAlgebra:
+def _resolve(args, source: str) -> FiniteAlgebra:
+    """Load one algebra and note its name among the command's inputs."""
     if source.startswith("@builtin:"):
-        return builtin(source[len("@builtin:"):]).algebra
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        A = builtin(source[len("@builtin:"):]).algebra
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            A = parse_algebra(fh.read())
+    args.inputs.append(A.name)
+    return A
 
 
-def _blocks_text(theta: Congruence) -> str:
-    return json.dumps(theta.blocks(), separators=(",", ":"))
+def _blocks_text(blocks) -> str:
+    return json.dumps(blocks, separators=(",", ":"))
 
 
 def _payload(check: str, inputs, holds, witness, instances: int, **extras):
@@ -51,10 +55,12 @@ def _payload(check: str, inputs, holds, witness, instances: int, **extras):
 
 
 def _emit(args, payload, lines) -> None:
+    """Print the JSON payload or the text lines.  Both are callables and only
+    the one for the chosen output mode runs, so the other is never built."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -67,21 +73,23 @@ def _np_like(args, caps: Caps, check: str, A: FiniteAlgebra, B: FiniteAlgebra,
         a, b = verdict.witness
         head = f"{check}({A.name}, {B.name}): fails at ({a}, {b})"
         witness = {"a": a, "b": b}
-    payload = _payload(check, [A.name, B.name], verdict.holds, witness, 1,
-                       theta=verdict.theta.blocks())
-    _emit(args, payload, [head, f"theta blocks: {_blocks_text(verdict.theta)}"])
+    blocks = verdict.theta.blocks()
+    _emit(args,
+          lambda: _payload(check, [A.name, B.name], verdict.holds, witness, 1,
+                           theta=blocks),
+          lambda: [head, f"theta blocks: {_blocks_text(blocks)}"])
     return 0 if verdict.holds else 1
 
 
 def _cmd_np(args, caps: Caps) -> int:
-    A = _resolve(args.a)
-    B = _resolve(args.b)
+    A = _resolve(args, args.a)
+    B = _resolve(args, args.b)
     return _np_like(args, caps, "np", A, B, check_np_pair(A, B, caps))
 
 
 def _cmd_shifting(args, caps: Caps) -> int:
-    A = _resolve(args.a)
-    B = _resolve(args.b)
+    A = _resolve(args, args.a)
+    B = _resolve(args, args.b)
     return _np_like(args, caps, "shifting", A, B, shifting_shape_check(A, B, caps))
 
 
@@ -96,26 +104,33 @@ def _failure_json(fail) -> dict:
 def _failure_text(fail) -> str:
     parts = [f"{role}={list(h.mapping)}" for role, h in fail.maps]
     if fail.theta is not None:
-        parts.append(f"theta={_blocks_text(fail.theta)}")
+        parts.append(f"theta={_blocks_text(fail.theta.blocks())}")
     parts.append(f"point={list(fail.point)}")
     parts.append(f"{fail.lhs} != {fail.rhs}")
     return "  " + " ".join(parts)
 
 
-def _condition_report(args, check: str, names, report: ConditionReport) -> int:
-    head = (f"condition {report.condition} on ({', '.join(names)}): "
-            f"instances={report.instances} failures={len(report.failures)}")
-    lines = [head] + [_failure_text(f) for f in report.failures]
-    witness = _failure_json(report.failures[0]) if report.failures else None
-    payload = _payload(check, names, report.ok, witness, report.instances,
-                       failures=[_failure_json(f) for f in report.failures])
-    _emit(args, payload, lines)
+def _failures(args, check: str, head: str, names, report) -> int:
+    """Emit a report that lists its failures (condition variants, centralic)."""
+
+    def payload():
+        failures = [_failure_json(f) for f in report.failures]
+        return _payload(check, names, report.ok, failures[0] if failures else None,
+                        report.instances, failures=failures)
+
+    _emit(args, payload, lambda: [head] + [_failure_text(f) for f in report.failures])
     return 0 if report.ok else 1
 
 
+def _condition_report(args, check: str, names, report: ConditionReport) -> int:
+    head = (f"condition {report.condition} on ({', '.join(names)}): "
+            f"instances={report.instances} failures={len(report.failures)}")
+    return _failures(args, check, head, names, report)
+
+
 def _cmd_conditions(args, caps: Caps) -> int:
-    sources = [_resolve(s) for s in args.sources]
-    params = ([_resolve(s) for s in args.params.split(",")]
+    sources = [_resolve(args, s) for s in args.sources]
+    params = ([_resolve(args, s) for s in args.params.split(",")]
               if args.params else None)
     which = args.which
     if which == "a":
@@ -143,22 +158,16 @@ def _cmd_conditions(args, caps: Caps) -> int:
 
 
 def _cmd_centralic(args, caps: Caps) -> int:
-    A = _resolve(args.a)
-    B = _resolve(args.b)
+    A = _resolve(args, args.a)
+    B = _resolve(args, args.b)
     report = centralic_check(A, B, caps)
     head = (f"centralic({A.name}, {B.name}): instances={report.instances} "
             f"failures={len(report.failures)}")
-    lines = [head] + [_failure_text(f) for f in report.failures]
-    witness = _failure_json(report.failures[0]) if report.failures else None
-    payload = _payload("centralic", [A.name, B.name], report.ok, witness,
-                       report.instances,
-                       failures=[_failure_json(f) for f in report.failures])
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return _failures(args, "centralic", head, [A.name, B.name], report)
 
 
 def _term_search(args, caps: Caps, check: str, label: str, finder) -> int:
-    A = _resolve(args.a)
+    A = _resolve(args, args.a)
     result = finder(A, caps)
     if result.status == "found":
         op = result.term_op
@@ -179,9 +188,10 @@ def _term_search(args, caps: Caps, check: str, label: str, finder) -> int:
         holds = None
         witness = None
         code = 3
-    payload = _payload(check, [A.name], holds, witness, result.explored,
-                       status=result.status)
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: _payload(check, [A.name], holds, witness, result.explored,
+                           status=result.status),
+          lambda: lines)
     return code
 
 
@@ -195,103 +205,109 @@ def _cmd_unit_term(args, caps: Caps) -> int:
 
 
 def _cmd_internal_subtractions(args, caps: Caps) -> int:
-    A = _resolve(args.a)
+    A = _resolve(args, args.a)
     subs = find_internal_subtractions(A, caps)
-    lines = [f"internal subtractions on {A.name}: {len(subs)}"]
-    lines += [f"  s={list(s.hom.mapping)}" for s in subs]
-    payload = _payload("internal-subtractions", [A.name], None, None, len(subs),
-                       subtractions=[list(s.hom.mapping) for s in subs])
-    _emit(args, payload, lines)
+    # json.dumps writes the mapping tuples as lists.
+    _emit(args,
+          lambda: _payload("internal-subtractions", [A.name], None, None, len(subs),
+                           subtractions=[s.hom.mapping for s in subs]),
+          lambda: [f"internal subtractions on {A.name}: {len(subs)}"]
+          + [f"  s={list(s.hom.mapping)}" for s in subs])
     return 0
 
 
 def _cmd_abelian(args, caps: Caps) -> int:
-    A = _resolve(args.a)
+    A = _resolve(args, args.a)
     subs = find_internal_subtractions(A, caps)
     if not subs:
-        payload = _payload("abelian", [A.name], False,
-                           {"reason": "no internal subtraction"}, 0,
-                           subtractions=0)
-        _emit(args, payload, [f"abelian({A.name}): no internal subtraction"])
+        _emit(args,
+              lambda: _payload("abelian", [A.name], False,
+                               {"reason": "no internal subtraction"}, 0, subtractions=0),
+              lambda: [f"abelian({A.name}): no internal subtraction"])
         return 1
     result = derive_abelian(subs[0])
     if result.ok:
         st = result.structure
-        lines = [f"abelian({A.name}): holds (from {len(subs)} subtraction(s), "
-                 "first in table order)",
-                 f"add: {list(st.add)}", f"neg: {list(st.neg)}"]
-        payload = _payload("abelian", [A.name], True, None, len(subs),
-                           subtractions=len(subs), add=list(st.add),
-                           neg=list(st.neg), failed_axiom=None)
-        _emit(args, payload, lines)
+        _emit(args,
+              lambda: _payload("abelian", [A.name], True, None, len(subs),
+                               subtractions=len(subs), add=list(st.add),
+                               neg=list(st.neg), failed_axiom=None),
+              lambda: [f"abelian({A.name}): holds (from {len(subs)} subtraction(s), "
+                       "first in table order)",
+                       f"add: {list(st.add)}", f"neg: {list(st.neg)}"])
         return 0
-    lines = [f"abelian({A.name}): fails axiom={result.failed_axiom} "
-             f"at {list(result.witness)}"]
-    payload = _payload("abelian", [A.name], False,
-                       {"axiom": result.failed_axiom,
-                        "point": list(result.witness)}, len(subs),
-                       subtractions=len(subs), failed_axiom=result.failed_axiom)
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: _payload("abelian", [A.name], False,
+                           {"axiom": result.failed_axiom,
+                            "point": list(result.witness)}, len(subs),
+                           subtractions=len(subs), failed_axiom=result.failed_axiom),
+          lambda: [f"abelian({A.name}): fails axiom={result.failed_axiom} "
+                   f"at {list(result.witness)}"])
     return 1
 
 
 def _cmd_crystal(args, caps: Caps) -> int:
-    algebras = [_resolve(s) for s in args.sources]
+    algebras = [_resolve(args, s) for s in args.sources]
     report = crystallographic_report(algebras, caps)
-    lines = []
-    entries_json = []
-    for e in report.entries:
-        lines.append(f"{e.name}: np_self={e.np_self} np_square={e.np_square} "
-                     f"subtractions={e.subtractions} group_law={e.group_law_ok} "
-                     f"abelian={e.abelian}")
-        for anomaly in e.anomalies:
-            lines.append(f"  anomaly: {anomaly}")
-        entries_json.append({
+
+    def payload():
+        entries = [{
             "name": e.name,
             "np_preconditions": {"self": e.np_self, "square": e.np_square},
             "subtractions": e.subtractions,
             "group_law": e.group_law_ok,
             "abelian": e.abelian,
             "anomalies": list(e.anomalies),
-        })
-    lines.append(f"hom checks: {report.hom_checks}")
-    lines.append(f"violations: {len(report.violations)}")
-    lines += [f"  {v}" for v in report.violations]
-    witness = {"violations": list(report.violations)} if report.violations else None
-    payload = _payload("crystal", [e.name for e in report.entries], report.ok,
-                       witness, len(report.entries), entries=entries_json,
-                       hom_checks=report.hom_checks)
+        } for e in report.entries]
+        witness = {"violations": list(report.violations)} if report.violations else None
+        return _payload("crystal", [e.name for e in report.entries], report.ok,
+                        witness, len(report.entries), entries=entries,
+                        hom_checks=report.hom_checks)
+
+    def lines():
+        for e in report.entries:
+            yield (f"{e.name}: np_self={e.np_self} np_square={e.np_square} "
+                   f"subtractions={e.subtractions} group_law={e.group_law_ok} "
+                   f"abelian={e.abelian}")
+            for anomaly in e.anomalies:
+                yield f"  anomaly: {anomaly}"
+        yield f"hom checks: {report.hom_checks}"
+        yield f"violations: {len(report.violations)}"
+        for v in report.violations:
+            yield f"  {v}"
+
     _emit(args, payload, lines)
     return 0 if report.ok else 1
 
 
 def _cmd_congruences(args, caps: Caps) -> int:
-    A = _resolve(args.a)
+    A = _resolve(args, args.a)
     lattice = all_congruences(A, caps)
-    lines = [f"congruences of {A.name}: {len(lattice)}"]
-    lines += [f"  {_blocks_text(theta)}" for theta in lattice]
-    payload = _payload("congruences", [A.name], None, None, len(lattice),
-                       congruences=[theta.blocks() for theta in lattice])
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: _payload("congruences", [A.name], None, None, len(lattice),
+                           congruences=[theta.blocks() for theta in lattice]),
+          lambda: [f"congruences of {A.name}: {len(lattice)}"]
+          + [f"  {_blocks_text(theta.blocks())}" for theta in lattice])
     return 0
 
 
 def _cmd_free(args, caps: Caps) -> int:
-    A = _resolve(args.a)
+    A = _resolve(args, args.a)
     F, gens = free_algebra(A, args.k, caps)
-    lines = [f"free algebra on {args.k} generator(s) over {A.name}: size {F.size}",
-             f"generators: {gens}"]
-    payload = _payload("free", [A.name], None, None, F.size, size=F.size,
-                       generators=gens, algebra=serialize_algebra(F))
-    _emit(args, payload, lines)
+    _emit(args,
+          lambda: _payload("free", [A.name], None, None, F.size, size=F.size,
+                           generators=gens, algebra=serialize_algebra(F)),
+          lambda: [f"free algebra on {args.k} generator(s) over {A.name}: size {F.size}",
+                   f"generators: {gens}"])
     return 0
 
 
 def _cmd_catalog(args, caps: Caps) -> int:
     if args.action == "list":
         names = list_builtins()
-        payload = _payload("catalog-list", [], None, None, len(names), names=names)
-        _emit(args, payload, names)
+        _emit(args,
+              lambda: _payload("catalog-list", [], None, None, len(names), names=names),
+              lambda: names)
         return 0
     text = serialize_algebra(builtin(args.name).algebra)
     if args.json:
@@ -398,9 +414,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    args.inputs = []
     try:
         return args.handler(args, caps)
     except CapExceeded as exc:
+        if args.json:
+            cap = {"what": exc.what, "needed": exc.needed, "limit": exc.limit}
+            print(json.dumps(_payload(args.command, args.inputs, None, None, 0,
+                                      status="unknown", cap=cap), sort_keys=True))
         print(f"unknown: {exc}", file=sys.stderr)
         return 3
     except (AbeliaError, OSError, ValueError) as exc:

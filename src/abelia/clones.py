@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import FiniteAlgebra, ZERO_OP
+from .core import FiniteAlgebra, ZERO_OP, apply_pointwise, nested_table
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
                 return order, True, hit
 
     max_op_arity = max(k for _, k in A.signature.ops)
+    ops = [(name, k, nested_table(A.tables[name], n, k))
+           for name, k in sorted(A.signature.ops) if k >= 1]
     size = 1
     while True:
         size += 1
@@ -130,22 +132,14 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
         largest = max((s for s in levels if levels[s]), default=0)
         if size > 1 + max_op_arity * largest:
             return order, True, None
-        for opname, k in sorted((name, k) for name, k in A.signature.ops if k >= 1):
+        for opname, k, nested in ops:
             for sizes in itertools.product(range(1, size), repeat=k):
                 if 1 + sum(sizes) != size:
                     continue
                 pools = [levels.get(s, ()) for s in sizes]
                 for parts in itertools.product(*pools):
-                    idx_cols = [p.table for p in parts]
-                    table = A.tables[opname]
-                    out = []
-                    for row in range(len(idx_cols[0])):
-                        idx = 0
-                        for col in idx_cols:
-                            idx = idx * n + col[row]
-                        out.append(table[idx])
                     hit = admit(Term(opname, tuple(p.witness for p in parts)),
-                                tuple(out))
+                                apply_pointwise(nested, [p.table for p in parts]))
                     if hit:
                         return order, True, hit
                     if len(order) >= cap:

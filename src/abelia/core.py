@@ -7,12 +7,15 @@ Operation tables are flat tuples in row-major order over argument tuples
 (last argument varies fastest), so a k-ary operation on n elements has a
 table of n**k entries.  A product's tables are built per operation on
 first read and then kept, so code that reads a product's operations through
-its factors (congruence generation does) never builds them.
+its factors (congruence generation does) never builds them.  Code that
+applies an operation to whole column vectors (the free algebra, the clone
+closure) goes through ``nested_table`` and ``apply_pointwise``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,6 +109,23 @@ def op_table(size: int, arity: int, fn) -> tuple[int, ...]:
     return tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
 
 
+def nested_table(table: tuple[int, ...], n: int, arity: int):
+    """The row-major table of an ``arity``-ary op on n elements as nested
+    tuples, so that ``nested[a][b][c]`` is the value at (a, b, c)."""
+    for _ in range(arity - 1):
+        table = tuple(table[i:i + n] for i in range(0, len(table), n))
+    return table
+
+
+def apply_pointwise(nested, cols) -> tuple[int, ...]:
+    """The op applied row by row to equal-length column vectors, one column
+    per argument: entry r of the result is ``nested[cols[0][r]][cols[1][r]]...``."""
+    it = map(nested.__getitem__, cols[0])
+    for col in cols[1:]:
+        it = map(operator.getitem, it, col)
+    return tuple(it)
+
+
 def _check_table(opname: str, arity: int, size: int, table: tuple[int, ...]) -> None:
     expect = size ** arity
     if len(table) != expect:
@@ -180,7 +200,7 @@ def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra,
             and hom_violation(source, target, mapping) is None)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Homomorphism:
     """A structure-preserving map, validated exhaustively at construction."""
 
@@ -195,7 +215,7 @@ class Homomorphism:
         if len(self.mapping) != self.source.size:
             raise InvalidHomomorphism(
                 f"map table has {len(self.mapping)} entries for a carrier of {self.source.size}")
-        if any(not (0 <= v < self.target.size) for v in self.mapping):
+        if min(self.mapping) < 0 or max(self.mapping) >= self.target.size:
             raise InvalidHomomorphism("map table entry out of range")
         viol = hom_violation(self.source, self.target, self.mapping)
         if viol is not None:
@@ -382,26 +402,34 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
                             changed = True
         return True
 
-    def walk() -> Iterator[Homomorphism]:
-        try:
-            idx = partial.index(-1)
-        except ValueError:
-            yield Homomorphism(X, Y, tuple(partial))
-            return
-        for v in range(m):
-            mark = len(trail)
-            if set_cell(idx, v) == 2 and propagate():
-                yield from walk()
-            while len(trail) > mark:
-                partial[trail.pop()] = -1
-
     ok = set_cell(0, 0) != 0
     for e in sorted(pins):
         if not ok:
             break
         ok = set_cell(e, pins[e]) != 0
-    if ok and propagate():
-        yield from walk()
+    if not (ok and propagate()):
+        return
+    # Depth-first over frames [cell, next candidate, trail mark], one per
+    # branching cell; every candidate is tried from the state at the mark.
+    stack: list[list[int]] = []
+    while True:
+        try:
+            stack.append([partial.index(-1), 0, len(trail)])
+        except ValueError:
+            yield Homomorphism(X, Y, tuple(partial))
+        while stack:
+            frame = stack[-1]
+            cell, v, mark = frame
+            while len(trail) > mark:
+                partial[trail.pop()] = -1
+            if v == m:
+                stack.pop()
+                continue
+            frame[1] = v + 1
+            if set_cell(cell, v) == 2 and propagate():
+                break
+        else:
+            return
 
 
 def _partition_violation(A: FiniteAlgebra, rep) -> tuple[str, tuple[int, ...]] | None:
@@ -495,22 +523,21 @@ def free_algebra(A: FiniteAlgebra, k: int,
             v = A.tables[opname][0]
             intern((v,) * positions)
 
-    ops = [(A.tables[name], arity) for name, arity in A.signature.ops if arity >= 1]
+    # Round r applies every op to the argument tuples over the first
+    # ``known`` elements that it has not met before, so each tuple of the
+    # final carrier is evaluated exactly once; ``images`` keeps the result.
+    images: dict[str, dict[tuple[int, ...], int]] = {
+        name: {} for name, arity in A.signature.ops if arity >= 1}
+    ops = [(arity, nested_table(A.tables[name], n, arity), images[name])
+           for name, arity in A.signature.ops if arity >= 1]
     prev = 0
     while True:
         known = len(elems)
-        for table, arity in ops:
+        for arity, nested, seen in ops:
             for combo in itertools.product(range(known), repeat=arity):
-                if all(c < prev for c in combo):
+                if max(combo) < prev:
                     continue
-                vecs = [elems[c] for c in combo]
-                out = []
-                for p in range(positions):
-                    idx = 0
-                    for vec in vecs:
-                        idx = idx * n + vec[p]
-                    out.append(table[idx])
-                intern(tuple(out))
+                seen[combo] = intern(apply_pointwise(nested, [elems[c] for c in combo]))
         if len(elems) == known:
             break
         prev = known
@@ -520,19 +547,9 @@ def free_algebra(A: FiniteAlgebra, k: int,
     for opname, arity in A.signature.ops:
         if arity == 0:
             tables[opname] = (index[(A.tables[opname][0],) * positions],)
-            continue
-        table = A.tables[opname]
-        out = []
-        for combo in itertools.product(range(size), repeat=arity):
-            vecs = [elems[c] for c in combo]
-            img = []
-            for p in range(positions):
-                idx = 0
-                for vec in vecs:
-                    idx = idx * n + vec[p]
-                img.append(table[idx])
-            out.append(index[tuple(img)])
-        tables[opname] = tuple(out)
+        else:
+            tables[opname] = tuple(map(images[opname].__getitem__,
+                                       itertools.product(range(size), repeat=arity)))
     F = FiniteAlgebra(f"Free({A.name},{k})", size, A.signature, tables)
     return F, gen_ids
 

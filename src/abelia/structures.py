@@ -19,7 +19,7 @@ from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
 from .normalproj import check_np_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalSubtraction:
     algebra: FiniteAlgebra
     hom: Homomorphism
@@ -29,10 +29,12 @@ class InternalSubtraction:
         if not isinstance(src, ProductAlgebra) or src.left != self.algebra \
                 or src.right != self.algebra or self.hom.target != self.algebra:
             raise ValueError("subtraction must map product(A, A) into A")
-        for x in range(self.algebra.size):
-            if self(x, x) != 0:
+        n = self.algebra.size
+        s = self.hom.mapping
+        for x in range(n):
+            if s[x * n + x] != 0:
                 raise ValueError(f"s({x},{x}) != 0")
-            if self(x, 0) != x:
+            if s[x * n] != x:
                 raise ValueError(f"s({x},0) != {x}")
 
     def __call__(self, x: int, y: int) -> int:

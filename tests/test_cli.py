@@ -6,8 +6,9 @@ import sys
 import jsonschema
 import pytest
 
-from abelia import parse_algebra, serialize_algebra
+from abelia import builtin, list_builtins, parse_algebra, serialize_algebra
 from abelia.cli import main
+from oracles import brute_subtraction_tables
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "verdict-schema.json").read_text())
@@ -62,6 +63,18 @@ def test_shifting_cap_exceeded(capsys):
     code, out, err = run(capsys, "shifting", "@builtin:V4", "@builtin:V4")
     assert code == 3
     assert err.startswith("unknown:")
+
+
+def test_cap_hit_under_json_prints_an_unknown_payload(capsys):
+    code, out, err = run(capsys, "shifting", "@builtin:V4", "@builtin:V4", "--json")
+    assert code == 3
+    assert err.startswith("unknown:")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload == {
+        "schema_version": "1", "check": "shifting", "inputs": ["V4", "V4"],
+        "holds": None, "witness": None, "instances": 0, "status": "unknown",
+        "cap": {"what": "congruence lattice carrier", "needed": 16, "limit": 12}}
 
 
 def test_conditions_b(capsys):
@@ -137,6 +150,19 @@ def test_internal_subtractions(capsys):
     assert payload["holds"] is None
     assert payload["instances"] == 2
     assert payload["subtractions"] == [[0, 0, 1, 0], [0, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("name", list_builtins())
+def test_internal_subtractions_output_pinned(capsys, name):
+    expect = [list(t) for t in brute_subtraction_tables(builtin(name).algebra)]
+    code, payload = run_json(capsys, "internal-subtractions", f"@builtin:{name}")
+    assert code == 0
+    assert payload["instances"] == len(expect)
+    assert payload["subtractions"] == expect
+    code, out, _ = run(capsys, "internal-subtractions", f"@builtin:{name}")
+    assert code == 0
+    assert out.splitlines() == ([f"internal subtractions on {name}: {len(expect)}"]
+                                + [f"  s={t}" for t in expect])
 
 
 def test_abelian_on_group(capsys):

@@ -1,16 +1,19 @@
-"""Congruence generation, joins, lattices, products and the pair-level
-law checked against the oracles on seeded random pointed algebras, beyond
-the builtin fixtures."""
+"""Congruence generation, joins, lattices, products, the pair-level law,
+homomorphism enumeration, free algebras and the clone closure checked
+against the oracles on seeded random pointed algebras, beyond the builtin
+fixtures."""
 
 import random
 
 import pytest
 
 from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra, Signature,
-                    all_congruences, builtin, cg, check_np_pair, join,
-                    list_builtins, product)
-from abelia.core import ZERO_OP, op_table
-from oracles import (congruence_reps_by_filter, np_partition_oracle,
+                    all_congruences, builtin, cg, check_np_pair,
+                    enumerate_homomorphisms, free_algebra, generate_term_ops,
+                    join, list_builtins, product)
+from abelia.core import ZERO_OP, apply_pointwise, nested_table, op_table
+from oracles import (brute_homs, congruence_reps_by_filter,
+                     depth_closure_tables, np_partition_oracle,
                      oracle_product, partitions)
 
 
@@ -136,3 +139,72 @@ def test_product_tables_match_definition_on_builtin_pairs():
             P = product(A, B)
             for opname, _ in A.signature.ops:
                 assert P.tables[opname] == expect[opname], (A.name, B.name, opname)
+
+
+def random_pins(rng: random.Random, X: FiniteAlgebra, Y: FiniteAlgebra) -> dict:
+    return {rng.randrange(X.size): rng.randrange(Y.size)
+            for _ in range(rng.randint(1, 2))}
+
+
+def test_homomorphisms_match_brute_force_in_order():
+    pinned = 0
+    for rng, A, B, C in generated_triples(60, seed=53):
+        for X, Y in ((A, B), (B, C), (product(A, B), C)):
+            if X.size > 6:
+                continue
+            every = [tuple(m) for m in brute_homs(X, Y)]
+            got = [h.mapping for h in enumerate_homomorphisms(X, Y)]
+            assert got == every, (X.name, Y.name)
+            pins = random_pins(rng, X, Y)
+            expect = [m for m in every if all(m[e] == v for e, v in pins.items())]
+            got = [h.mapping for h in enumerate_homomorphisms(X, Y, pins)]
+            assert got == expect, (X.name, Y.name, pins)
+            pinned += bool(expect)
+    assert pinned >= 30
+
+
+def row_major_loop(table, n, cols):
+    """The per-row index loop that apply_pointwise replaces."""
+    out = []
+    for row in range(len(cols[0])):
+        idx = 0
+        for col in cols:
+            idx = idx * n + col[row]
+        out.append(table[idx])
+    return tuple(out)
+
+
+def test_apply_pointwise_matches_row_major_loop():
+    rng = random.Random(61)
+    for _ in range(40):
+        n, arity = rng.randint(1, 5), rng.randint(1, 3)
+        table = tuple(rng.randrange(n) for _ in range(n ** arity))
+        length = rng.randint(1, 30)
+        cols = [tuple(rng.randrange(n) for _ in range(length)) for _ in range(arity)]
+        assert apply_pointwise(nested_table(table, n, arity), cols) \
+            == row_major_loop(table, n, cols)
+
+
+def term_depth(term) -> int:
+    return 1 + max(map(term_depth, term.args)) if term.args else 0
+
+
+def test_free_algebra_and_clone_agree():
+    caps = Caps(free_carrier=40)
+    compared = 0
+    for _, A in generated(40, seed=67):
+        for k in (1, 2):
+            try:
+                F, gens = free_algebra(A, k, caps)
+            except CapExceeded:
+                continue
+            ops = generate_term_ops(A, k)
+            assert ops.complete
+            assert F.size == len(ops.term_ops), (A.signature, k)
+            # The oracle at the depth of the deepest witness holds every
+            # table found; the free algebra's size says nothing is missing.
+            depth = max(term_depth(op.witness) for op in ops.term_ops)
+            tables = {op.table for op in ops.term_ops}
+            assert tables == depth_closure_tables(A, k, depth), (A.signature, k)
+            compared += 1
+    assert compared >= 50
