@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import FiniteAlgebra, ZERO_OP, apply_pointwise, nested_table
+from .core import FiniteAlgebra, ZERO_OP, pointwise, vector_type
 
 
 @dataclass(frozen=True)
@@ -94,35 +94,33 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
     to the maximum possible composition size is exhausted.
     """
     n = A.size
-    by_table: dict[tuple[int, ...], TermOp] = {}
+    vector = vector_type(n)
+    # Tables are kept as ``vector_type(n)`` vectors, the type ``pointwise``
+    # works on; ``by_table`` maps each one seen to its TermOp.
+    by_table: dict = {}
     order: list[TermOp] = []
-    levels: dict[int, list[TermOp]] = {}
+    levels: dict[int, list] = {}
 
-    def admit(term: Term, table: tuple[int, ...]):
-        if table in by_table:
-            return None
-        op = TermOp(arity, table, term)
-        by_table[table] = op
+    def admit(term: Term, size: int, vec):
+        op = TermOp(arity, tuple(vec), term)
+        by_table[vec] = op
         order.append(op)
-        levels.setdefault(term.size, []).append(op)
+        levels.setdefault(size, []).append(vec)
         if stop is not None and stop(op):
             return op
         return None
 
-    for i in range(1, arity + 1):
-        term = Term(f"x{i}")
-        hit = admit(term, evaluate_term(A, term, arity))
-        if hit:
-            return order, True, hit
-    for opname, k in A.signature.ops:
-        if k == 0:
-            term = Term(opname)
-            hit = admit(term, evaluate_term(A, term, arity))
+    leaves = [Term(f"x{i}") for i in range(1, arity + 1)]
+    leaves += [Term(opname) for opname, k in A.signature.ops if k == 0]
+    for term in leaves:
+        vec = vector(evaluate_term(A, term, arity))
+        if vec not in by_table:
+            hit = admit(term, 1, vec)
             if hit:
                 return order, True, hit
 
     max_op_arity = max(k for _, k in A.signature.ops)
-    ops = [(name, k, nested_table(A.tables[name], n, k))
+    ops = [(name, k, pointwise(A.tables[name], n, k))
            for name, k in sorted(A.signature.ops) if k >= 1]
     size = 1
     while True:
@@ -132,16 +130,18 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
         largest = max((s for s in levels if levels[s]), default=0)
         if size > 1 + max_op_arity * largest:
             return order, True, None
-        for opname, k, nested in ops:
+        for opname, k, apply in ops:
             for sizes in itertools.product(range(1, size), repeat=k):
                 if 1 + sum(sizes) != size:
                     continue
                 pools = [levels.get(s, ()) for s in sizes]
                 for parts in itertools.product(*pools):
-                    hit = admit(Term(opname, tuple(p.witness for p in parts)),
-                                apply_pointwise(nested, [p.table for p in parts]))
-                    if hit:
-                        return order, True, hit
+                    vec = apply(parts)
+                    if vec not in by_table:
+                        term = Term(opname, tuple(by_table[p].witness for p in parts))
+                        hit = admit(term, size, vec)
+                        if hit:
+                            return order, True, hit
                     if len(order) >= cap:
                         return order, False, None
 

@@ -9,7 +9,8 @@ table of n**k entries.  A product's tables are built per operation on
 first read and then kept, so code that reads a product's operations through
 its factors (congruence generation does) never builds them.  Code that
 applies an operation to whole column vectors (the free algebra, the clone
-closure) goes through ``nested_table`` and ``apply_pointwise``.
+closure) builds the op's applier once with ``pointwise`` and keeps its
+vectors as ``vector_type(n)``.
 """
 
 from __future__ import annotations
@@ -117,13 +118,45 @@ def nested_table(table: tuple[int, ...], n: int, arity: int):
     return table
 
 
-def apply_pointwise(nested, cols) -> tuple[int, ...]:
-    """The op applied row by row to equal-length column vectors, one column
-    per argument: entry r of the result is ``nested[cols[0][r]][cols[1][r]]...``."""
-    it = map(nested.__getitem__, cols[0])
-    for col in cols[1:]:
-        it = map(operator.getitem, it, col)
-    return tuple(it)
+def vector_type(n: int) -> type:
+    """The type of column vectors over an n-element carrier: ``bytes`` when
+    every element fits in a byte, else ``tuple``.  Vectors that are compared
+    or used as dict keys together must all have this one type."""
+    return bytes if n <= 256 else tuple
+
+
+def pointwise(table: tuple[int, ...], n: int, arity: int):
+    """The applier of an ``arity``-ary op (arity >= 1) on n elements to
+    column vectors of ``vector_type(n)``, one column per argument: entry r
+    of ``apply(cols)`` is the op's value at ``(cols[0][r], cols[1][r], ...)``.
+
+    When ``n ** arity <= 256`` the columns are folded into one integer,
+    ``acc = acc * n + int(col)`` with each column read as a little-endian
+    base-256 number.  Byte r of ``acc`` is then the row-major index of row
+    r, at most ``n ** arity - 1 <= 255``, so no digit carries into the next,
+    and one ``bytes.translate`` maps every index to its value.  Larger
+    tables go through nested tuples and a chain of ``map`` calls.
+    """
+    if n ** arity <= 256:
+        lookup = bytes(table) + bytes(256 - len(table))
+        from_bytes = int.from_bytes
+
+        def apply(cols):
+            acc = 0
+            for col in cols:
+                acc = acc * n + from_bytes(col, "little")
+            return acc.to_bytes(len(cols[0]), "little").translate(lookup)
+        return apply
+
+    nested = nested_table(table, n, arity)
+    vector = vector_type(n)
+
+    def apply(cols):
+        it = map(nested.__getitem__, cols[0])
+        for col in cols[1:]:
+            it = map(operator.getitem, it, col)
+        return vector(it)
+    return apply
 
 
 def _check_table(opname: str, arity: int, size: int, table: tuple[int, ...]) -> None:
@@ -469,10 +502,10 @@ def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homo
     size = len(reps)
     tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
-        if arity == 0:
-            tables[opname] = (0,)
-            continue
         table = A.tables[opname]
+        if arity == 0:
+            tables[opname] = (index[theta.rep[table[0]]],)
+            continue
         out = []
         for args in itertools.product(range(size), repeat=arity):
             ia = 0
@@ -501,10 +534,13 @@ def free_algebra(A: FiniteAlgebra, k: int,
     if positions > caps.free_positions:
         raise CapExceeded("free algebra exponent positions", positions, caps.free_positions)
 
-    elems: list[tuple[int, ...]] = [(0,) * positions]
-    index: dict[tuple[int, ...], int] = {elems[0]: 0}
+    # Carrier vectors are interned as ``vector_type(n)``: every key of
+    # ``index`` has that one type, so equal vectors meet as equal keys.
+    vector = vector_type(n)
+    elems: list = [vector((0,) * positions)]
+    index: dict = {elems[0]: 0}
 
-    def intern(vec: tuple[int, ...]) -> int:
+    def intern(vec) -> int:
         got = index.get(vec)
         if got is not None:
             return got
@@ -517,27 +553,28 @@ def free_algebra(A: FiniteAlgebra, k: int,
     gen_ids = []
     for i in range(k):
         stride = n ** (k - 1 - i)
-        gen_ids.append(intern(tuple((t // stride) % n for t in range(positions))))
+        gen_ids.append(intern(vector((t // stride) % n for t in range(positions))))
     for opname, arity in A.signature.ops:
         if arity == 0 and opname != ZERO_OP:
-            v = A.tables[opname][0]
-            intern((v,) * positions)
+            intern(vector(A.tables[opname] * positions))
 
     # Round r applies every op to the argument tuples over the first
     # ``known`` elements that it has not met before, so each tuple of the
     # final carrier is evaluated exactly once; ``images`` keeps the result.
     images: dict[str, dict[tuple[int, ...], int]] = {
         name: {} for name, arity in A.signature.ops if arity >= 1}
-    ops = [(arity, nested_table(A.tables[name], n, arity), images[name])
+    ops = [(arity, pointwise(A.tables[name], n, arity), images[name])
            for name, arity in A.signature.ops if arity >= 1]
     prev = 0
     while True:
         known = len(elems)
-        for arity, nested, seen in ops:
-            for combo in itertools.product(range(known), repeat=arity):
+        for arity, apply, seen in ops:
+            # product() copies ``elems`` as it stands, before this round grows it.
+            for combo, cols in zip(itertools.product(range(known), repeat=arity),
+                                   itertools.product(elems, repeat=arity)):
                 if max(combo) < prev:
                     continue
-                seen[combo] = intern(apply_pointwise(nested, [elems[c] for c in combo]))
+                seen[combo] = intern(apply(cols))
         if len(elems) == known:
             break
         prev = known
@@ -546,7 +583,7 @@ def free_algebra(A: FiniteAlgebra, k: int,
     tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
         if arity == 0:
-            tables[opname] = (index[(A.tables[opname][0],) * positions],)
+            tables[opname] = (index[vector(A.tables[opname] * positions)],)
         else:
             tables[opname] = tuple(map(images[opname].__getitem__,
                                        itertools.product(range(size), repeat=arity)))

@@ -190,6 +190,17 @@ def test_quotient_rejects_incompatible(cat):
         quotient(S2, Congruence.discrete(3))
 
 
+def test_quotient_keeps_non_zero_constants():
+    from abelia import Congruence
+    sig = Signature.make((("c", 0), ("f", 1)))
+    A = FiniteAlgebra("C2", 2, sig, {"zero": (0,), "c": (1,), "f": (1, 0)})
+    Q, q = quotient(A, Congruence.discrete(2))
+    assert Q.tables == A.tables
+    assert q.mapping == (0, 1)
+    Q, q = quotient(A, Congruence.all_pairs(2))
+    assert Q.tables == {"zero": (0,), "c": (0,), "f": (0,)}
+
+
 def test_free_algebra_sizes_equal_clone_sizes(cat):
     # the free algebra on k generators is carried by the k-ary term operations
     for name in ["P2", "P3", "S2", "B2", "Z2", "Z3"]:

@@ -1,5 +1,6 @@
-"""Congruence generation, joins, lattices, products, the pair-level law,
-homomorphism enumeration, free algebras and the clone closure checked
+"""Congruence generation, joins, lattices, products, quotients, the
+pair-level law and its lattice-scan and centralic variants, homomorphism
+enumeration, the file format, free algebras and the clone closure checked
 against the oracles on seeded random pointed algebras, beyond the builtin
 fixtures."""
 
@@ -8,11 +9,15 @@ import random
 import pytest
 
 from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra, Signature,
-                    all_congruences, builtin, cg, check_np_pair,
-                    enumerate_homomorphisms, free_algebra, generate_term_ops,
-                    join, list_builtins, product)
-from abelia.core import ZERO_OP, apply_pointwise, nested_table, op_table
-from oracles import (brute_homs, congruence_reps_by_filter,
+                    all_congruences, builtin, centralic_check, cg,
+                    check_np_pair, enumerate_homomorphisms, free_algebra,
+                    generate_term_ops, join, list_builtins, parse_algebra,
+                    product, quotient, serialize_algebra,
+                    shifting_shape_check)
+from abelia.catalog import _cyclic
+from abelia.clones import evaluate_term
+from abelia.core import ZERO_OP, op_table, pointwise, vector_type
+from oracles import (brute_homs, commutes, congruence_reps_by_filter,
                      depth_closure_tables, np_partition_oracle,
                      oracle_product, partitions)
 
@@ -163,8 +168,51 @@ def test_homomorphisms_match_brute_force_in_order():
     assert pinned >= 30
 
 
+def test_quotient_surjection_is_a_homomorphism():
+    # quotient() builds its surjection through the validating constructor;
+    # ``commutes`` checks the map again, independently of hom_violation.
+    checked = 0
+    for _, A in generated(60, seed=11):
+        for theta in all_congruences(A):
+            Q, q = quotient(A, theta)
+            assert commutes(A, Q, q.mapping), (A.signature, theta.rep)
+            assert all(theta.rep[x] == theta.rep[y]
+                       for x in A.elements() for y in A.elements()
+                       if q(x) == q(y)), theta.rep
+            checked += 1
+    assert checked >= 300
+
+
+def test_parse_serialize_round_trip_on_generated_algebras():
+    for _, A in generated(60, seed=13):
+        assert parse_algebra(serialize_algebra(A)) == A
+
+
+def small_pairs(seed: int):
+    """Same-signature pairs (A, B) with |A x B| <= 8, which keeps every
+    congruence lattice of A x B small enough to enumerate quickly."""
+    for _, A, B, _ in generated_triples(60, seed=seed):
+        if A.size * B.size <= 8:
+            yield A, B
+
+
+def test_shifting_and_centralic_agree_with_np():
+    checked = fails = centralic_ok = 0
+    for A, B in small_pairs(seed=59):
+        verdict = check_np_pair(A, B)
+        shifting = shifting_shape_check(A, B)
+        assert (shifting.holds, shifting.witness, shifting.theta) \
+            == (verdict.holds, verdict.witness, verdict.theta), A.signature
+        if centralic_check(A, B).ok:
+            assert verdict.holds, A.signature
+            centralic_ok += 1
+        checked += 1
+        fails += not verdict.holds
+    assert checked >= 40 and fails >= 5 and centralic_ok >= 10
+
+
 def row_major_loop(table, n, cols):
-    """The per-row index loop that apply_pointwise replaces."""
+    """The per-row index loop that the pointwise kernel replaces."""
     out = []
     for row in range(len(cols[0])):
         idx = 0
@@ -174,15 +222,25 @@ def row_major_loop(table, n, cols):
     return tuple(out)
 
 
-def test_apply_pointwise_matches_row_major_loop():
+def test_pointwise_matches_row_major_loop():
     rng = random.Random(61)
-    for _ in range(40):
-        n, arity = rng.randint(1, 5), rng.randint(1, 3)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(40)]
+    # n**arity = 256 is the largest table on the byte-folding path; 289 and
+    # 343 take the nested-tuple path with bytes vectors, 257 and 300 with
+    # tuple vectors.
+    shapes += [(16, 2), (2, 8), (256, 1), (17, 2), (7, 3), (257, 1), (300, 1)]
+    for n, arity in shapes:
         table = tuple(rng.randrange(n) for _ in range(n ** arity))
-        length = rng.randint(1, 30)
-        cols = [tuple(rng.randrange(n) for _ in range(length)) for _ in range(arity)]
-        assert apply_pointwise(nested_table(table, n, arity), cols) \
-            == row_major_loop(table, n, cols)
+        vector = vector_type(n)
+        apply = pointwise(table, n, arity)
+        length = rng.randint(1, 300)
+        # every column at n - 1 reaches the last row-major index
+        for cols in ([vector(rng.randrange(n) for _ in range(length))
+                      for _ in range(arity)],
+                     [vector((n - 1,) * length)] * arity):
+            got = apply(cols)
+            assert type(got) is vector, (n, arity)
+            assert got == vector(row_major_loop(table, n, cols)), (n, arity)
 
 
 def term_depth(term) -> int:
@@ -208,3 +266,17 @@ def test_free_algebra_and_clone_agree():
             assert tables == depth_closure_tables(A, k, depth), (A.signature, k)
             compared += 1
     assert compared >= 50
+
+
+def test_free_algebra_and_clone_agree_past_the_byte_table():
+    # Z17's add has 17**2 = 289 entries, so both run on the nested-tuple path.
+    Z17 = _cyclic(17, "Z17")
+    F, (g,) = free_algebra(Z17, 1, Caps(free_positions=17))
+    ops = generate_term_ops(Z17, 1)
+    assert ops.complete and F.size == len(ops.term_ops) == 17
+    assert {op.table for op in ops.term_ops} \
+        == {tuple(a * x % 17 for x in range(17)) for a in range(17)}
+    # Each witness, read in the free algebra at its generator, names a
+    # distinct element: the two constructions are the same clone part.
+    assert sorted(evaluate_term(F, op.witness, 1)[g] for op in ops.term_ops) \
+        == list(range(17))
