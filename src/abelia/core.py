@@ -561,6 +561,9 @@ def free_algebra(A: FiniteAlgebra, k: int,
     # Round r applies every op to the argument tuples over the first
     # ``known`` elements that it has not met before, so each tuple of the
     # final carrier is evaluated exactly once; ``images`` keeps the result.
+    # Every op of a round reads the same ``row``: an earlier op may already
+    # have grown ``elems``, and the column tuples must stay aligned with the
+    # index tuples over ``range(known)``.
     images: dict[str, dict[tuple[int, ...], int]] = {
         name: {} for name, arity in A.signature.ops if arity >= 1}
     ops = [(arity, pointwise(A.tables[name], n, arity), images[name])
@@ -568,10 +571,10 @@ def free_algebra(A: FiniteAlgebra, k: int,
     prev = 0
     while True:
         known = len(elems)
+        row = elems[:known]
         for arity, apply, seen in ops:
-            # product() copies ``elems`` as it stands, before this round grows it.
             for combo, cols in zip(itertools.product(range(known), repeat=arity),
-                                   itertools.product(elems, repeat=arity)):
+                                   itertools.product(row, repeat=arity)):
                 if max(combo) < prev:
                     continue
                 seen[combo] = intern(apply(cols))
