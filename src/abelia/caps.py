@@ -17,6 +17,9 @@ class Caps:
     cg: int = 256
     # largest carrier for full congruence lattices (all_congruences)
     lattice: int = 12
+    # most congruences in one lattice; the build stops as soon as it passes
+    # this (P10 has 115,975 congruences, P11 678,570)
+    lattice_count: int = 200_000
     # homomorphism-enumeration condition checks: largest source / target carrier
     hom_src: int = 9
     hom_tgt: int = 4

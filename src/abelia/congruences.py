@@ -120,6 +120,8 @@ def _close(rows, parent: list[int], pairs) -> tuple[int, ...]:
 
     ``parent`` is a union-find forest whose partition is already closed under
     the operations (the discrete partition, or a congruence's rep table).
+    With ``rows=()`` no row is scanned, and the result is the least
+    equivalence containing ``parent`` and ``pairs``: the join in Eq(A).
     Unions are eager (R. Freese, "Computing congruences efficiently",
     Algebra Universalis 59, 2008): two classes are linked as soon as a pair
     of their members must be identified, and only the pair of roots just
@@ -223,6 +225,8 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
     """Every congruence of A, sorted by block count descending then rep table.
 
     The discrete congruence comes first and the all-pairs congruence last.
+    A lattice of more than ``caps.lattice_count`` congruences is refused as
+    soon as the build passes that many.
     The lattices of the last ``LATTICE_CACHE_SIZE`` algebras are kept, keyed
     by operation-table content, since several checks revisit the same
     product lattice.
@@ -239,6 +243,11 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
             _lattice_cache.popitem(last=False)
     else:
         _lattice_cache.move_to_end(key)
+        if len(got) > caps.lattice_count:
+            # Refused as the build refuses: at the first congruence past the
+            # cap, whatever cap the cached lattice was built under.
+            raise CapExceeded("congruence lattice size", caps.lattice_count + 1,
+                              caps.lattice_count)
     return list(got)
 
 
@@ -248,27 +257,46 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
         raise CapExceeded("congruence generation carrier", n, caps.cg)
     rows = _op_rows(A)
     # Principal congruences, with a generating pair remembered for each.
-    principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    gens: dict[tuple[int, ...], tuple[int, int]] = {}
     for x in range(n):
         for y in range(x + 1, n):
-            principal.setdefault(_close(rows, list(range(n)), [(x, y)]), (x, y))
+            gens.setdefault(_close(rows, list(range(n)), [(x, y)]), (x, y))
+    # Each principal's generating pair and non-trivial links (z, pi[z]).
+    principal = [(x, y, [(z, r) for z, r in enumerate(pi) if r != z])
+                 for pi, (x, y) in gens.items()]
 
     seen: set[tuple[int, ...]] = {tuple(range(n))}
-    frontier = list(principal)
+    frontier = list(gens)
     seen.update(frontier)
+    if len(seen) > caps.lattice_count:
+        raise CapExceeded("congruence lattice size", len(seen), caps.lattice_count)
     # Every congruence is a join of principals, so closing the principal set
-    # under join-with-a-principal reaches the whole lattice.  A join starts
-    # from rep itself, which is sound because rep is already a congruence.
+    # under join-with-a-principal reaches the whole lattice.  Con(A) is a
+    # complete sublattice of Eq(A) (Burris & Sankappanavar, A Course in
+    # Universal Algebra, Thm 5.3), so a join of congruences is their join as
+    # equivalences: union-find over the principal's links, scanning no rows.
+    # theta v Cg(x, y) = theta v Cg(rep[x], rep[y]), so each pair of blocks
+    # of theta is joined once.
     while frontier:
         nxt = []
         for rep in frontier:
-            for pair in principal.values():
-                if rep[pair[0]] == rep[pair[1]]:
+            joined_blocks = set()
+            for x, y, links in principal:
+                bx, by = rep[x], rep[y]
+                if bx == by:
                     continue
-                joined = _close(rows, list(rep), [pair])
+                # the pair of blocks, low then high, as one number
+                blocks = bx * n + by if bx < by else by * n + bx
+                if blocks in joined_blocks:
+                    continue
+                joined_blocks.add(blocks)
+                joined = _close((), list(rep), links)
                 if joined not in seen:
                     seen.add(joined)
                     nxt.append(joined)
+                    if len(seen) > caps.lattice_count:
+                        raise CapExceeded("congruence lattice size", len(seen),
+                                          caps.lattice_count)
         frontier = nxt
     out = [Congruence(n, rep) for rep in seen]
     out.sort(key=lambda t: (-t.num_blocks, t.rep))

@@ -58,9 +58,11 @@ def _np_generators(P: ProductAlgebra) -> list[tuple[int, int]]:
 
 
 def _np_witness(P: ProductAlgebra, theta: Congruence) -> tuple[int, int] | None:
+    # (a, b) is element a*nb + b and (0, b) is element b.
+    rep, nb = theta.rep, P.right.size
     for a in range(P.left.size):
-        for b in range(P.right.size):
-            if not theta.same(P.pair(a, b), P.pair(0, b)):
+        for b in range(nb):
+            if rep[a * nb + b] != rep[b]:
                 return (a, b)
     return None
 
@@ -206,9 +208,11 @@ def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
     if P.size > caps.lattice:
         raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
     theta_star = cg(P, _np_generators(P), caps)
+    slice_elems = [P.pair(a, 0) for a in range(A.size)]
     holds = True
     for theta in all_congruences(P, caps):
-        if all(theta.same(P.pair(a, 0), 0) for a in range(A.size)):
+        # rep[0] == 0, so the slice collapses to the point iff its reps are 0
+        if not any(theta.rep[e] for e in slice_elems):
             if _np_witness(P, theta) is not None:
                 holds = False
                 break
@@ -229,19 +233,21 @@ def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
     P = product(A, B)
     if P.size > caps.lattice:
         raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
+    nb = B.size
+    # (x, 0) and (y, 0) are elements x*nb and y*nb; (x, z) is x*nb + z.
+    slice_pairs = [(x, y, x * nb, y * nb) for x in range(A.size) for y in range(A.size)]
     instances = 0
     failures: list[ConditionFailure] = []
     for theta in all_congruences(P, caps):
-        for x in range(A.size):
-            for y in range(A.size):
-                if not theta.same(P.pair(x, 0), P.pair(y, 0)):
-                    continue
-                for z in range(B.size):
-                    instances += 1
-                    u, v = P.pair(x, z), P.pair(y, z)
-                    if not theta.same(u, v):
-                        failures.append(ConditionFailure(
-                            (), (x, y, z), theta.rep[u], theta.rep[v], theta))
+        rep = theta.rep
+        for x, y, u, v in slice_pairs:
+            if rep[u] != rep[v]:
+                continue
+            instances += nb
+            for z in range(nb):
+                if rep[u + z] != rep[v + z]:
+                    failures.append(ConditionFailure(
+                        (), (x, y, z), rep[u + z], rep[v + z], theta))
     return ConditionReport("centralic", instances, tuple(failures))
 
 

@@ -132,6 +132,20 @@ def congruence_reps_by_filter(A):
     return [rep for rep in partitions(A.size) if partition_compatible(A, rep)]
 
 
+def equivalence_join(r1, r2):
+    """The transitive closure of the union of two partitions, given as rep
+    tables, grown pair by pair until nothing new is related."""
+    n = len(r1)
+    related = {(x, y) for x in range(n) for y in range(n)
+               if r1[x] == r1[y] or r2[x] == r2[y]}
+    while True:
+        grown = related | {(x, z) for x, y in related for w, z in related if y == w}
+        if grown == related:
+            break
+        related = grown
+    return tuple(min(y for y in range(n) if (x, y) in related) for x in range(n))
+
+
 def np_partition_oracle(A, B):
     """Definitive pair-level verdict by quantifying over raw partitions.
 

@@ -77,6 +77,19 @@ def test_cap_hit_under_json_prints_an_unknown_payload(capsys):
         "cap": {"what": "congruence lattice carrier", "needed": 16, "limit": 12}}
 
 
+def test_lattice_count_cap_under_json_names_the_cap(capsys, monkeypatch):
+    # P3 x P3 has 21,147 congruences; the build stops past the 100th
+    monkeypatch.setenv("ABELIA_CAPS", "lattice_count=100")
+    code, out, err = run(capsys, "centralic", "@builtin:P3", "@builtin:P3", "--json")
+    assert code == 3
+    assert err.startswith("unknown:")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["status"] == "unknown" and payload["holds"] is None
+    assert payload["cap"] == {"what": "congruence lattice size", "needed": 101,
+                              "limit": 100}
+
+
 def test_conditions_b(capsys):
     code, payload = run_json(capsys, "conditions", "@builtin:P2", "--which", "b")
     assert code == 1

@@ -183,3 +183,32 @@ def test_lattice_cache_is_bounded_and_keeps_recent(cat, monkeypatch):
     all_congruences(cyclic[0], caps)
     assert builds.count(1) == 2
     assert len(congruences._lattice_cache) == bound
+
+
+def test_lattice_count_cap_stops_the_build_early(cat, monkeypatch):
+    import abelia.congruences as congruences
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    closes = []
+    close = congruences._close
+    monkeypatch.setattr(congruences, "_close",
+                        lambda *args: closes.append(1) or close(*args))
+    P = product(cat["P3"], cat["P3"])
+    with pytest.raises(CapExceeded) as err:
+        all_congruences(P, Caps(lattice_count=100))
+    assert err.value.what == "congruence lattice size"
+    assert (err.value.needed, err.value.limit) == (101, 100)
+    # the whole lattice (21,147 congruences) takes 175,896 closures
+    assert len(closes) < 1000
+    assert not congruences._lattice_cache
+
+
+def test_lattice_count_cap_refuses_a_cached_lattice(cat, monkeypatch):
+    import abelia.congruences as congruences
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    P = product(cat["P2"], cat["P2"])
+    assert len(all_congruences(P)) == BELL[4]
+    with pytest.raises(CapExceeded) as err:
+        all_congruences(P, Caps(lattice_count=BELL[4] - 1))
+    assert err.value.what == "congruence lattice size"
+    assert (err.value.needed, err.value.limit) == (BELL[4], BELL[4] - 1)
+    assert len(all_congruences(P, Caps(lattice_count=BELL[4]))) == BELL[4]

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra, Signature,
-                    all_congruences, builtin, centralic_check, cg,
+from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
+                    Signature, all_congruences, builtin, centralic_check, cg,
                     check_np_pair, enumerate_homomorphisms, free_algebra,
                     generate_term_ops, join, list_builtins, parse_algebra,
                     product, quotient, serialize_algebra,
@@ -19,8 +19,8 @@ from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
 from abelia.core import ZERO_OP, op_table, pointwise, vector_type
 from oracles import (brute_homs, commutes, congruence_reps_by_filter,
-                     depth_closure_tables, np_partition_oracle,
-                     oracle_product, partitions)
+                     depth_closure_tables, equivalence_join,
+                     np_partition_oracle, oracle_product, partitions)
 
 
 def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlgebra:
@@ -95,6 +95,22 @@ def test_cg_and_join_match_partition_filter():
             assert join(A, t1, t2).rep == least_containing(oracle, both)
 
 
+def test_join_of_congruences_is_their_equivalence_join():
+    # Con(A) is a sublattice of Eq(A): the lattice build joins congruences
+    # by union-find alone, which rests on this.
+    checked = 0
+    for _, A in generated(60, seed=17):
+        if A.size > 4:
+            continue
+        lattice = all_congruences(A)
+        for t1 in lattice:
+            for t2 in lattice:
+                assert join(A, t1, t2).rep == equivalence_join(t1.rep, t2.rep), \
+                    (A.signature, t1.rep, t2.rep)
+                checked += 1
+    assert checked >= 500
+
+
 def test_lattice_refused_above_the_cg_cap():
     rng = random.Random(11)
     A = random_pointed_algebra(rng, 5, "capped")
@@ -123,6 +139,26 @@ def test_cg_on_products_matches_materialised_tables():
                 pairs = [(rng.randrange(n), rng.randrange(n))
                          for _ in range(rng.randint(0, 3))]
                 assert cg(P, pairs).rep == cg(plain, pairs).rep, (P.name, pairs)
+
+
+def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
+    import abelia.congruences as congruences
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    checked = joined = eights = 0
+    for _, A, B, C in generated_triples(90, seed=37):
+        for P in (product(A, B), product(A, product(B, C))):
+            if not 6 <= P.size <= 8:
+                continue
+            oracle = [tuple(r) for r in congruence_reps_by_filter(materialised(P))]
+            expect = sorted(oracle, key=lambda r: (-len(set(r)), r))
+            # a lazy product and its read-out tables share one cache key
+            for X in (P, materialised(P)):
+                congruences._lattice_cache.clear()
+                assert [t.rep for t in all_congruences(X)] == expect, P.name
+            checked += 1
+            joined += len(expect) > 5
+            eights += P.size == 8
+    assert checked >= 30 and joined >= 20 and eights >= 2
 
 
 def test_np_matches_partition_oracle_on_generated_pairs():
@@ -210,6 +246,40 @@ def test_shifting_and_centralic_agree_with_np():
         checked += 1
         fails += not verdict.holds
     assert checked >= 40 and fails >= 5 and centralic_ok >= 10
+
+
+def centralic_by_loops(A, B):
+    """centralic_check's report as a direct loop over (theta, x, y, z)."""
+    P = product(A, B)
+    instances, failures = 0, []
+    for theta in all_congruences(P):
+        for x in range(A.size):
+            for y in range(A.size):
+                if not theta.same(P.pair(x, 0), P.pair(y, 0)):
+                    continue
+                for z in range(B.size):
+                    instances += 1
+                    u, v = P.pair(x, z), P.pair(y, z)
+                    if not theta.same(u, v):
+                        failures.append(((x, y, z), theta.rep[u], theta.rep[v], theta))
+    return instances, failures
+
+
+def test_centralic_report_matches_direct_loop():
+    builtins = [builtin(name).algebra for name in list_builtins()]
+    pairs = list(small_pairs(seed=59)) + [
+        (A, B) for A in builtins for B in builtins
+        if A.signature == B.signature and A.size * B.size <= DEFAULT_CAPS.lattice]
+    failing = 0
+    for A, B in pairs:
+        report = centralic_check(A, B)
+        instances, failures = centralic_by_loops(A, B)
+        assert report.instances == instances, (A.name, B.name)
+        assert [(f.point, f.lhs, f.rhs, f.theta) for f in report.failures] \
+            == failures, (A.name, B.name)
+        assert all(f.maps == () for f in report.failures)
+        failing += bool(failures)
+    assert len(pairs) >= 50 and failing >= 5
 
 
 def row_major_loop(table, n, cols):
