@@ -235,7 +235,10 @@ def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra,
 
 @dataclass(frozen=True, repr=False, slots=True)
 class Homomorphism:
-    """A structure-preserving map, validated exhaustively at construction."""
+    """A structure-preserving map.  The public constructor validates it
+    exhaustively; maps already proved by construction or by the search in
+    ``enumerate_homomorphisms`` are built with ``_proved``, without
+    re-checking."""
 
     source: FiniteAlgebra
     target: FiniteAlgebra
@@ -253,6 +256,17 @@ class Homomorphism:
         viol = hom_violation(self.source, self.target, self.mapping)
         if viol is not None:
             raise InvalidHomomorphism(f"does not commute with {viol[0]} at {viol[1]}")
+
+    @classmethod
+    def _proved(cls, source: FiniteAlgebra, target: FiniteAlgebra,
+                mapping: tuple[int, ...]) -> "Homomorphism":
+        """A map the caller has proved to be a homomorphism, built without
+        the checks of ``__post_init__``."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "mapping", mapping)
+        return h
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -284,7 +298,10 @@ class ProductAlgebra(FiniteAlgebra):
     """Componentwise product on pairs (a, b) encoded as a*|B|+b.
 
     Carries the canonical projections p1, p2 and the zero-padded
-    inclusions i1: a -> (a, 0) and i2: b -> (0, b).
+    inclusions i1: a -> (a, 0) and i2: b -> (0, b).  The projections
+    commute with every op by the definition of the product, and an inclusion
+    does when every op of the other factor maps (0, ..., 0) to 0; such maps
+    are built without checking, so reading them builds no product table.
     """
 
     left: FiniteAlgebra
@@ -299,21 +316,44 @@ class ProductAlgebra(FiniteAlgebra):
     @cached_property
     def p1(self) -> Homomorphism:
         nb = self.right.size
-        return Homomorphism(self, self.left, tuple(e // nb for e in range(self.size)))
+        return self._canonical(self, self.left, tuple(e // nb for e in range(self.size)))
 
     @cached_property
     def p2(self) -> Homomorphism:
         nb = self.right.size
-        return Homomorphism(self, self.right, tuple(e % nb for e in range(self.size)))
+        return self._canonical(self, self.right, tuple(e % nb for e in range(self.size)))
 
     @cached_property
     def i1(self) -> Homomorphism:
         nb = self.right.size
-        return Homomorphism(self.left, self, tuple(a * nb for a in range(self.left.size)))
+        return self._canonical(self.left, self, tuple(a * nb for a in range(self.left.size)),
+                               self.right)
 
     @cached_property
     def i2(self) -> Homomorphism:
-        return Homomorphism(self.right, self, tuple(range(self.right.size)))
+        return self._canonical(self.right, self, tuple(range(self.right.size)), self.left)
+
+    def _canonical(self, source: FiniteAlgebra, target: FiniteAlgebra,
+                   mapping: tuple[int, ...], padded: FiniteAlgebra | None = None) -> Homomorphism:
+        # Over the tables that product() builds, a projection commutes with
+        # every op, and an inclusion does exactly when every op of the factor
+        # it pads with 0 maps (0, ..., 0) to 0.  Anything else goes through
+        # the validating constructor, which raises if the map is no
+        # homomorphism.
+        tables = self.tables
+        if (isinstance(tables, ProductTables) and tables.left is self.left
+                and tables.right is self.right
+                and (padded is None or _fixes_zero(padded))):
+            return Homomorphism._proved(source, target, mapping)
+        return Homomorphism(source, target, mapping)
+
+
+def _fixes_zero(A: FiniteAlgebra) -> bool:
+    """Whether every op of A maps (0, ..., 0), index 0 of its table, to 0.
+    A product is asked through its factors, so no product table is built."""
+    if isinstance(A.tables, ProductTables):
+        return _fixes_zero(A.tables.left) and _fixes_zero(A.tables.right)
+    return all(A.tables[name][0] == 0 for name, _ in A.signature.ops)
 
 
 class ProductTables(Mapping):
@@ -386,11 +426,18 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
                             pinned: dict[int, int] | None = None) -> Iterator[Homomorphism]:
     """Yield every homomorphism X -> Y extending ``pinned``, each exactly once.
 
-    Backtracks over carrier elements in increasing order with image candidates
-    in increasing order, propagating forced values through the operation
-    tables after every choice; the stream is therefore sorted lexicographically
-    by the full map table.  A pinned entry that contradicts a forced equation
-    yields an empty stream, not an error.
+    Backtracks over carrier elements in increasing order with image
+    candidates in increasing order, so the stream is sorted
+    lexicographically by the full map table.  Every argument tuple of a
+    non-constant op is one constraint, h(op(args)) = op(h(args)), listed in
+    the watch list of each distinct cell of ``args``.  After every choice
+    the search walks the cells assigned since it, and a constraint whose
+    arguments are all assigned fires: it assigns its output cell, or
+    reports a conflict, and a newly assigned cell is walked in turn.
+    Constants are checked once, at the root.  At a leaf every cell is
+    assigned and every constraint has fired, so the map commutes with every
+    op; it is yielded without re-checking.  A pinned entry that contradicts
+    a forced equation yields an empty stream, not an error.
     """
     if X.signature != Y.signature:
         raise SignatureMismatch(f"{X.name} and {Y.name} have different signatures")
@@ -399,57 +446,60 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
         if not (0 <= e < X.size and 0 <= v < Y.size):
             raise ValueError(f"pinned entry {e}->{v} out of range")
     n, m = X.size, Y.size
-    op_data = []
+    watch: list[list] = [[] for _ in range(n)]
+    forced = [(0, 0)] + sorted(pins.items())
     for opname, arity in X.signature.ops:
-        op_data.append((X.tables[opname], Y.tables[opname],
-                        list(itertools.product(range(n), repeat=arity))))
+        st, tt = X.tables[opname], Y.tables[opname]
+        if arity == 0:
+            forced.append((st[0], tt[0]))
+            continue
+        for out, args in zip(st, itertools.product(range(n), repeat=arity)):
+            constraint = (out, tt, args)
+            for e in set(args):
+                watch[e].append(constraint)
     partial = [-1] * n
     trail: list[int] = []
 
-    def set_cell(e: int, v: int) -> int:
-        # 0 = conflict, 1 = already set to v, 2 = newly assigned
-        cur = partial[e]
-        if cur >= 0:
-            return 1 if cur == v else 0
-        partial[e] = v
-        trail.append(e)
-        return 2
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for st, tt, tuples in op_data:
-                for i, args in enumerate(tuples):
-                    ti = 0
-                    for a in args:
-                        v = partial[a]
-                        if v < 0:
-                            break
-                        ti = ti * m + v
-                    else:
-                        code = set_cell(st[i], tt[ti])
-                        if code == 0:
-                            return False
-                        if code == 2:
-                            changed = True
+    def settle(start: int) -> bool:
+        # Walk trail[start:], firing the constraints watching each cell;
+        # cells that firing assigns join the end of the walk.
+        i = start
+        while i < len(trail):
+            for out, tt, args in watch[trail[i]]:
+                ti = 0
+                for a in args:
+                    v = partial[a]
+                    if v < 0:
+                        break
+                    ti = ti * m + v
+                else:
+                    cur = partial[out]
+                    if cur < 0:
+                        partial[out] = tt[ti]
+                        trail.append(out)
+                    elif cur != tt[ti]:
+                        return False
+            i += 1
         return True
 
-    ok = set_cell(0, 0) != 0
-    for e in sorted(pins):
-        if not ok:
-            break
-        ok = set_cell(e, pins[e]) != 0
-    if not (ok and propagate()):
+    for e, v in forced:
+        if partial[e] < 0:
+            partial[e] = v
+            trail.append(e)
+        elif partial[e] != v:
+            return
+    if not settle(0):
         return
+    proved = Homomorphism._proved
     # Depth-first over frames [cell, next candidate, trail mark], one per
     # branching cell; every candidate is tried from the state at the mark.
+    # The trail holds exactly the assigned cells.
     stack: list[list[int]] = []
     while True:
-        try:
+        if len(trail) == n:
+            yield proved(X, Y, tuple(partial))
+        else:
             stack.append([partial.index(-1), 0, len(trail)])
-        except ValueError:
-            yield Homomorphism(X, Y, tuple(partial))
         while stack:
             frame = stack[-1]
             cell, v, mark = frame
@@ -459,7 +509,9 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
                 stack.pop()
                 continue
             frame[1] = v + 1
-            if set_cell(cell, v) == 2 and propagate():
+            partial[cell] = v
+            trail.append(cell)
+            if not watch[cell] or settle(mark):
                 break
         else:
             return

@@ -37,6 +37,15 @@ class InternalSubtraction:
             if s[x * n] != x:
                 raise ValueError(f"s({x},0) != {x}")
 
+    @classmethod
+    def _proved(cls, algebra: FiniteAlgebra, hom: Homomorphism) -> "InternalSubtraction":
+        """A subtraction whose map the caller has proved to be one, built
+        without the checks of ``__post_init__``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "algebra", algebra)
+        object.__setattr__(s, "hom", hom)
+        return s
+
     def __call__(self, x: int, y: int) -> int:
         return self.hom.mapping[x * self.algebra.size + y]
 
@@ -53,6 +62,8 @@ def find_internal_subtractions(A: FiniteAlgebra,
 
     Backtracking over the |A|^2 table cells with the forced diagonal and
     first-column values pinned; homomorphism constraints prune as usual.
+    The pins are s(x, x) = 0 and s(x, 0) = x, so every map found is a
+    subtraction and is built without re-checking.
     """
     caps = caps or DEFAULT_CAPS
     P = product(A, A)
@@ -62,7 +73,8 @@ def find_internal_subtractions(A: FiniteAlgebra,
     for x in range(A.size):
         pins[P.pair(x, x)] = 0
         pins[P.pair(x, 0)] = x
-    return [InternalSubtraction(A, h) for h in enumerate_homomorphisms(P, A, pins)]
+    proved = InternalSubtraction._proved
+    return [proved(A, h) for h in enumerate_homomorphisms(P, A, pins)]
 
 
 def verify_group_law(s: InternalSubtraction) -> LawVerdict:

@@ -10,6 +10,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     hom_violation, identity_hom, is_homomorphism,
                     kernel_congruence, op_table, pairing_hom, parse_algebra,
                     product, quotient, serialize_algebra, zero_hom)
+from abelia.catalog import _cyclic
 from oracles import backtrack_homs, brute_homs, commutes, oracle_product
 
 
@@ -77,6 +78,50 @@ def test_product_canonical_maps(cat):
     assert compose(P.p1, P.i2) == zero_hom(B, A)
     paired = pairing_hom(P, P.p1, P.p2)
     assert paired == identity_hom(P)
+
+
+def test_product_canonical_maps_build_no_product_table():
+    # p1, p2, i1 and i2 commute by the definition of the product, so reading
+    # them builds none of the product's tables, not even at the inner
+    # product.  Only the one-entry zero tables exist: construction reads them.
+    Z12 = _cyclic(12, "Z12")
+    P = product(Z12, product(Z12, Z12))
+    maps = (P.p1, P.p2, P.i1, P.i2)
+    assert P.tables._built == P.right.tables._built == {"zero": (0,)}
+    assert [(h.source, h.target) for h in maps] == [
+        (P, P.left), (P, P.right), (P.left, P), (P.right, P)]
+    assert P.p1.mapping == tuple(P.split(e)[0] for e in P.elements())
+    assert P.p2.mapping == tuple(P.split(e)[1] for e in P.elements())
+    assert P.i1.mapping == tuple(P.pair(a, 0) for a in Z12.elements())
+    assert P.i2.mapping == tuple(P.pair(0, b) for b in P.right.elements())
+
+
+def test_product_canonical_maps_commute_on_builtin_pairs(cat):
+    checked = 0
+    for A in cat.values():
+        for B in cat.values():
+            if A.signature != B.signature:
+                continue
+            P = product(A, B)
+            for h in (P.p1, P.p2, P.i1, P.i2):
+                assert hom_violation(h.source, h.target, h.mapping) is None, \
+                    (A.name, B.name, h)
+            checked += 1
+    assert checked == 22
+
+
+def test_product_inclusion_past_a_constant_off_zero_is_refused():
+    # i1: a -> (a, 0) commutes with a constant c only when c is 0 in the
+    # padded factor, so here it is no homomorphism and i2 still is one.
+    sig = Signature.make((("c", 0),))
+    A = FiniteAlgebra("A", 2, sig, {"zero": (0,), "c": (0,)})
+    B = FiniteAlgebra("B", 2, sig, {"zero": (0,), "c": (1,)})
+    P = product(A, B)
+    with pytest.raises(InvalidHomomorphism, match="does not commute with c"):
+        P.i1
+    assert P.i2.mapping == (0, 1)
+    assert hom_violation(B, P, P.i2.mapping) is None
+    assert hom_violation(A, P, (0, 2)) == ("c", ())
 
 
 def test_product_signature_mismatch(cat):

@@ -10,15 +10,18 @@ import random
 import pytest
 
 from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
-                    Signature, all_congruences, builtin, centralic_check, cg,
-                    check_np_pair, enumerate_homomorphisms, free_algebra,
-                    generate_term_ops, join, list_builtins, parse_algebra,
-                    product, quotient, serialize_algebra,
+                    Homomorphism, InternalSubtraction, Signature,
+                    all_congruences, builtin, centralic_check, cg,
+                    check_np_pair, enumerate_homomorphisms,
+                    find_internal_subtractions, free_algebra,
+                    generate_term_ops, hom_violation, join, list_builtins,
+                    parse_algebra, product, quotient, serialize_algebra,
                     shifting_shape_check)
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
 from abelia.core import ZERO_OP, op_table, pointwise, vector_type
-from oracles import (brute_homs, commutes, congruence_reps_by_filter,
+from oracles import (brute_homs, brute_subtraction_tables, commutes,
+                     congruence_reps_by_filter,
                      depth_closure_tables, equivalence_join,
                      np_partition_oracle, oracle_product, partitions)
 
@@ -203,6 +206,56 @@ def test_homomorphisms_match_brute_force_in_order():
             assert got == expect, (X.name, Y.name, pins)
             pinned += bool(expect)
     assert pinned >= 30
+
+
+def test_enumerated_maps_pass_the_independent_check():
+    # enumerate_homomorphisms builds the maps it yields without re-checking
+    # them; hom_violation checks each one again, with and without pins.  A
+    # pin against a value every homomorphism shares must empty the stream.
+    checked = contradicted = ternary = constants = 0
+    for rng, A, B, C in generated_triples(90, seed=61):
+        for X, Y in ((A, B), (B, C), (product(A, B), C),
+                     (product(A, product(B, C)), A)):
+            if Y.size ** (X.size - 1) > 3000:
+                continue
+            every = list(enumerate_homomorphisms(X, Y))
+            for h in every:
+                assert hom_violation(X, Y, h.mapping) is None, (X.name, Y.name, h)
+            pins = random_pins(rng, X, Y)
+            for h in enumerate_homomorphisms(X, Y, pins):
+                assert hom_violation(X, Y, h.mapping) is None, (X.name, Y.name, h)
+                assert all(h(e) == v for e, v in pins.items())
+            for e in range(X.size):
+                images = {h(e) for h in every}
+                if len(images) == 1 and Y.size > 1:
+                    wrong = {e: (images.pop() + 1) % Y.size}
+                    assert list(enumerate_homomorphisms(X, Y, wrong)) == [], \
+                        (X.name, Y.name, wrong)
+                    contradicted += 1
+            checked += 1
+            ternary += any(arity == 3 for _, arity in X.signature.ops)
+            constants += any(arity == 0 and X.tables[name] != (0,)
+                             for name, arity in X.signature.ops)
+    assert checked >= 300 and contradicted >= 200
+    assert ternary >= 100 and constants >= 150
+
+
+def test_found_subtractions_equal_validated_ones():
+    # find_internal_subtractions builds its results without re-checking;
+    # the public constructors check each one, and the backtracking oracle
+    # checks that none is missing.
+    algebras = [builtin(name).algebra for name in list_builtins()]
+    algebras += [A for _, A in generated(60, seed=67) if A.size <= 3]
+    found = 0
+    for A in algebras:
+        subs = find_internal_subtractions(A)
+        assert [s.hom.mapping for s in subs] == brute_subtraction_tables(A), A.name
+        P = product(A, A)
+        for s in subs:
+            assert s == InternalSubtraction(A, Homomorphism(P, A, s.hom.mapping))
+        found += len(subs)
+    # the builtins have 86 of them, P3 alone 81
+    assert found >= 95
 
 
 def test_quotient_surjection_is_a_homomorphism():
