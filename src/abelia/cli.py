@@ -11,6 +11,7 @@ shipped verdict schema; all output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,13 +21,13 @@ from .catalog import builtin, list_builtins
 from .clones import find_subtraction_term, find_unit_term
 from .congruences import all_congruences
 from .core import (AbeliaError, CapExceeded, FiniteAlgebra, free_algebra,
-                   parse_algebra, serialize_algebra)
+                   parse_algebra, serialize_algebra, vector_type)
 from .normalproj import (ConditionReport, check_condition_b,
                          check_condition_d_instances,
                          check_condition_e_instances, check_np_pair,
                          centralic_check, shifting_shape_check)
 from .structures import (crystallographic_report, derive_abelian,
-                         find_internal_subtractions)
+                         first_internal_subtraction, internal_subtraction_tables)
 
 SCHEMA_VERSION = "1"
 
@@ -204,43 +205,70 @@ def _cmd_unit_term(args, caps: Caps) -> int:
     return _term_search(args, caps, "unit-term", "unit term", find_unit_term)
 
 
+# Rows of internal-subtractions output are written this many at a time.
+_ROW_CHUNK = 4096
+
+
+def _row_texts(rows, n: int):
+    """The rows as json.dumps and ``str(list(row))`` write a list of ints,
+    one list of texts per chunk of ``_ROW_CHUNK`` rows."""
+    name = [str(v) for v in range(n)].__getitem__
+    for i in range(0, len(rows), _ROW_CHUNK):
+        yield ["[" + ", ".join(map(name, row)) + "]" for row in rows[i:i + _ROW_CHUNK]]
+
+
 def _cmd_internal_subtractions(args, caps: Caps) -> int:
     A = _resolve(args, args.a)
-    subs = find_internal_subtractions(A, caps)
-    # json.dumps writes the mapping tuples as lists.
-    _emit(args,
-          lambda: _payload("internal-subtractions", [A.name], None, None, len(subs),
-                           subtractions=[s.hom.mapping for s in subs]),
-          lambda: [f"internal subtractions on {A.name}: {len(subs)}"]
-          + [f"  s={list(s.hom.mapping)}" for s in subs])
+    # One compact row per table; there are 4**9 of them on a 4-element
+    # pointed set, so no object is built per table and the output, 13 MB
+    # there, is written a chunk at a time.
+    vector = vector_type(A.size)
+    rows = [vector(t) for t in internal_subtraction_tables(A, caps)]
+    write = sys.stdout.write
+    if args.json:
+        # Everything but the rows comes from json.dumps, split at the empty
+        # list that stands in for them; "witness" is the only key after it.
+        head, _, tail = json.dumps(
+            _payload("internal-subtractions", [A.name], None, None, len(rows),
+                     subtractions=[]), sort_keys=True).rpartition("[]")
+        write(head + "[")
+        sep = ""
+        for texts in _row_texts(rows, A.size):
+            write(sep + ", ".join(texts))
+            sep = ", "
+        write("]" + tail + "\n")
+    else:
+        write(f"internal subtractions on {A.name}: {len(rows)}\n")
+        for texts in _row_texts(rows, A.size):
+            write("".join([f"  s={t}\n" for t in texts]))
     return 0
 
 
 def _cmd_abelian(args, caps: Caps) -> int:
     A = _resolve(args, args.a)
-    subs = find_internal_subtractions(A, caps)
-    if not subs:
+    first, count = first_internal_subtraction(A, caps)
+    if first is None:
         _emit(args,
               lambda: _payload("abelian", [A.name], False,
                                {"reason": "no internal subtraction"}, 0, subtractions=0),
               lambda: [f"abelian({A.name}): no internal subtraction"])
         return 1
-    result = derive_abelian(subs[0])
+    result = derive_abelian(first)
     if result.ok:
         st = result.structure
         _emit(args,
-              lambda: _payload("abelian", [A.name], True, None, len(subs),
-                               subtractions=len(subs), add=list(st.add),
+              lambda: _payload("abelian", [A.name], True, None, count,
+                               subtractions=count, add=list(st.add),
                                neg=list(st.neg), failed_axiom=None),
-              lambda: [f"abelian({A.name}): holds (from {len(subs)} subtraction(s), "
+              lambda: [f"abelian({A.name}): holds (from {count} subtraction(s), "
                        "first in table order)",
                        f"add: {list(st.add)}", f"neg: {list(st.neg)}"])
         return 0
     _emit(args,
           lambda: _payload("abelian", [A.name], False,
                            {"axiom": result.failed_axiom,
-                            "point": list(result.witness)}, len(subs),
-                           subtractions=len(subs), failed_axiom=result.failed_axiom),
+                            "point": list(result.witness)}, count,
+                           subtractions=count, failed_axiom=result.failed_axiom),
           lambda: [f"abelian({A.name}): fails axiom={result.failed_axiom} "
                    f"at {list(result.witness)}"])
     return 1
@@ -318,7 +346,11 @@ def _cmd_catalog(args, caps: Caps) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: ``parse_args`` keeps no state between calls, and ``main`` gives
+    each call its own namespace.  Callers must not change the parser."""
     parser = argparse.ArgumentParser(
         prog="abelia",
         description="Analyze finite pointed algebras: normal projections, "

@@ -426,18 +426,33 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
                             pinned: dict[int, int] | None = None) -> Iterator[Homomorphism]:
     """Yield every homomorphism X -> Y extending ``pinned``, each exactly once.
 
+    The stream is sorted lexicographically by the full map table, and a
+    pinned entry that contradicts a forced equation yields an empty stream,
+    not an error.  Each map is a ``Homomorphism`` built from a table of
+    ``hom_tables`` without re-checking.  The condition checks in
+    ``normalproj`` and the map loop of ``crystallographic_report`` take
+    these objects; the internal-subtraction search
+    (``structures.internal_subtraction_tables``) reads ``hom_tables`` and
+    builds none.
+    """
+    proved = Homomorphism._proved
+    for table in hom_tables(X, Y, pinned):
+        yield proved(X, Y, table)
+
+
+def hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
+               pinned: dict[int, int] | None = None) -> Iterator[tuple[int, ...]]:
+    """The map tables of ``enumerate_homomorphisms``, in the same order.
+
     Backtracks over carrier elements in increasing order with image
-    candidates in increasing order, so the stream is sorted
-    lexicographically by the full map table.  Every argument tuple of a
-    non-constant op is one constraint, h(op(args)) = op(h(args)), listed in
-    the watch list of each distinct cell of ``args``.  After every choice
-    the search walks the cells assigned since it, and a constraint whose
-    arguments are all assigned fires: it assigns its output cell, or
-    reports a conflict, and a newly assigned cell is walked in turn.
-    Constants are checked once, at the root.  At a leaf every cell is
-    assigned and every constraint has fired, so the map commutes with every
-    op; it is yielded without re-checking.  A pinned entry that contradicts
-    a forced equation yields an empty stream, not an error.
+    candidates in increasing order.  Every argument tuple of a non-constant
+    op is one constraint, h(op(args)) = op(h(args)), listed in the watch
+    list of each distinct cell of ``args``.  After every choice the search
+    walks the cells assigned since it, and a constraint whose arguments are
+    all assigned fires: it assigns its output cell, or reports a conflict,
+    and a newly assigned cell is walked in turn.  Constants are checked
+    once, at the root.  At a leaf every cell is assigned and every
+    constraint has fired, so the table commutes with every op.
     """
     if X.signature != Y.signature:
         raise SignatureMismatch(f"{X.name} and {Y.name} have different signatures")
@@ -490,14 +505,13 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
             return
     if not settle(0):
         return
-    proved = Homomorphism._proved
     # Depth-first over frames [cell, next candidate, trail mark], one per
     # branching cell; every candidate is tried from the state at the mark.
     # The trail holds exactly the assigned cells.
     stack: list[list[int]] = []
     while True:
         if len(trail) == n:
-            yield proved(X, Y, tuple(partial))
+            yield tuple(partial)
         else:
             stack.append([partial.index(-1), 0, len(trail)])
         while stack:

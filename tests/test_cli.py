@@ -1,14 +1,21 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import jsonschema
 import pytest
 
-from abelia import builtin, list_builtins, parse_algebra, serialize_algebra
+from abelia import (Caps, Homomorphism, InternalSubtraction, builtin,
+                    find_internal_subtractions, list_builtins, parse_algebra,
+                    serialize_algebra)
+from abelia import cli
+from abelia.catalog import _cyclic
 from abelia.cli import main
 from oracles import brute_subtraction_tables
+from test_generated_algebras import random_pointed_algebra
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "verdict-schema.json").read_text())
@@ -176,6 +183,63 @@ def test_internal_subtractions_output_pinned(capsys, name):
     assert code == 0
     assert out.splitlines() == ([f"internal subtractions on {name}: {len(expect)}"]
                                 + [f"  s={t}" for t in expect])
+
+
+def count_proved(monkeypatch) -> Counter:
+    """Count the objects built through each class's ``_proved``."""
+    built = Counter()
+    for cls in (Homomorphism, InternalSubtraction):
+        def counting(*args, _proved=cls._proved, _name=cls.__name__):
+            built[_name] += 1
+            return _proved(*args)
+        monkeypatch.setattr(cls, "_proved", counting)
+    return built
+
+
+def test_subtraction_commands_build_no_object_per_map(capsys, monkeypatch):
+    # P3 has 3**4 = 81 subtractions.  internal-subtractions writes their
+    # tables and abelian reads the first one and the count.
+    built = count_proved(monkeypatch)
+    code, payload = run_json(capsys, "internal-subtractions", "@builtin:P3")
+    assert (code, payload["instances"], len(payload["subtractions"])) == (0, 81, 81)
+    code, out, _ = run(capsys, "internal-subtractions", "@builtin:P3")
+    assert (code, len(out.splitlines())) == (0, 82)
+    assert built == Counter()
+    code, payload = run_json(capsys, "abelian", "@builtin:P3")
+    assert (code, payload["subtractions"]) == (1, 81)
+    assert all(count <= 1 for count in built.values()), built
+    built.clear()
+    assert run(capsys, "abelian", "@builtin:P3")[0] == 1
+    assert all(count <= 1 for count in built.values()), built
+
+
+def subtraction_inputs():
+    # Z11 and Z12 have one subtraction each, P3 has 81 and the generated
+    # algebras none.
+    rng = random.Random(71)
+    yield _cyclic(11, "Z11")
+    yield _cyclic(12, "Z12")
+    yield builtin("P3").algebra
+    for i in range(3):
+        yield random_pointed_algebra(rng, 5, f"G{i}_")
+
+
+@pytest.mark.parametrize("A", subtraction_inputs(), ids=lambda A: A.name)
+def test_internal_subtractions_text_matches_its_objects(A, capsys, monkeypatch, tmp_path):
+    # Elements of more than one digit, and a chunk size that splits the rows.
+    monkeypatch.setenv("ABELIA_CAPS", "structure_src=144")
+    monkeypatch.setattr(cli, "_ROW_CHUNK", 2)
+    path = tmp_path / "a.alg"
+    path.write_text(serialize_algebra(A), encoding="utf-8")
+    tables = [s.hom.mapping for s in find_internal_subtractions(A, Caps(structure_src=144))]
+    payload = {"schema_version": "1", "check": "internal-subtractions",
+               "inputs": [A.name], "holds": None, "witness": None,
+               "instances": len(tables), "subtractions": tables}
+    code, out, _ = run(capsys, "internal-subtractions", str(path), "--json")
+    assert (code, out) == (0, json.dumps(payload, sort_keys=True) + "\n")
+    code, out, _ = run(capsys, "internal-subtractions", str(path))
+    assert (code, out) == (0, "\n".join([f"internal subtractions on {A.name}: {len(tables)}"]
+                                        + [f"  s={list(t)}" for t in tables]) + "\n")
 
 
 def test_abelian_on_group(capsys):
