@@ -24,8 +24,8 @@ from .structures import (AbelianResult, AbelianStructure, Construction1Report,
                          Construction2Report, CrystalEntry, CrystalReport,
                          InternalSubtraction, LawVerdict, check_homomorphic,
                          crystallographic_report, derive_abelian,
-                         find_internal_subtractions, first_internal_subtraction,
-                         internal_subtraction_tables, verify_group_law,
+                         find_internal_subtractions, internal_subtraction_tables,
+                         verify_group_law,
                          verify_proof_construction_1,
                          verify_proof_construction_2)
 
@@ -46,8 +46,8 @@ __all__ = [
     "compose", "cross_check_conditions", "crystallographic_report",
     "derive_abelian", "enumerate_homomorphisms", "evaluate_term",
     "factor_through_split_epi", "find_internal_subtractions",
-    "find_subtraction_term", "find_unit_term", "first_internal_subtraction",
-    "free_algebra", "generate_term_ops", "hom_violation", "identity_hom",
+    "find_subtraction_term", "find_unit_term", "free_algebra",
+    "generate_term_ops", "hom_violation", "identity_hom",
     "internal_subtraction_tables", "is_homomorphism",
     "join", "kernel_congruence", "list_builtins", "meet", "op_table",
     "pairing_hom", "parse_algebra", "product", "quotient",

@@ -27,7 +27,7 @@ from .normalproj import (ConditionReport, check_condition_b,
                          check_condition_e_instances, check_np_pair,
                          centralic_check, shifting_shape_check)
 from .structures import (crystallographic_report, derive_abelian,
-                         first_internal_subtraction, internal_subtraction_tables)
+                         find_internal_subtractions, internal_subtraction_tables)
 
 SCHEMA_VERSION = "1"
 
@@ -246,29 +246,29 @@ def _cmd_internal_subtractions(args, caps: Caps) -> int:
 
 def _cmd_abelian(args, caps: Caps) -> int:
     A = _resolve(args, args.a)
-    first, count = first_internal_subtraction(A, caps)
-    if first is None:
+    subs = find_internal_subtractions(A, caps)
+    if not subs:
         _emit(args,
               lambda: _payload("abelian", [A.name], False,
                                {"reason": "no internal subtraction"}, 0, subtractions=0),
               lambda: [f"abelian({A.name}): no internal subtraction"])
         return 1
-    result = derive_abelian(first)
+    result = derive_abelian(subs[0])
     if result.ok:
         st = result.structure
         _emit(args,
-              lambda: _payload("abelian", [A.name], True, None, count,
-                               subtractions=count, add=list(st.add),
+              lambda: _payload("abelian", [A.name], True, None, len(subs),
+                               subtractions=len(subs), add=list(st.add),
                                neg=list(st.neg), failed_axiom=None),
-              lambda: [f"abelian({A.name}): holds (from {count} subtraction(s), "
+              lambda: [f"abelian({A.name}): holds (from {len(subs)} subtraction(s), "
                        "first in table order)",
                        f"add: {list(st.add)}", f"neg: {list(st.neg)}"])
         return 0
     _emit(args,
           lambda: _payload("abelian", [A.name], False,
                            {"axiom": result.failed_axiom,
-                            "point": list(result.witness)}, count,
-                           subtractions=count, failed_axiom=result.failed_axiom),
+                            "point": list(result.witness)}, len(subs),
+                           subtractions=len(subs), failed_axiom=result.failed_axiom),
           lambda: [f"abelian({A.name}): fails axiom={result.failed_axiom} "
                    f"at {list(result.witness)}"])
     return 1

@@ -429,19 +429,19 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
     The stream is sorted lexicographically by the full map table, and a
     pinned entry that contradicts a forced equation yields an empty stream,
     not an error.  Each map is a ``Homomorphism`` built from a table of
-    ``hom_tables`` without re-checking.  The condition checks in
-    ``normalproj`` and the map loop of ``crystallographic_report`` take
-    these objects; the internal-subtraction search
-    (``structures.internal_subtraction_tables``) reads ``hom_tables`` and
+    ``_hom_tables`` without re-checking.  The condition checks in
+    ``normalproj``, ``find_internal_subtractions`` and the map loop of
+    ``crystallographic_report`` take these objects;
+    ``structures.internal_subtraction_tables`` reads ``_hom_tables`` and
     builds none.
     """
     proved = Homomorphism._proved
-    for table in hom_tables(X, Y, pinned):
+    for table in _hom_tables(X, Y, pinned):
         yield proved(X, Y, table)
 
 
-def hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
-               pinned: dict[int, int] | None = None) -> Iterator[tuple[int, ...]]:
+def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
+                pinned: dict[int, int] | None = None) -> Iterator[tuple[int, ...]]:
     """The map tables of ``enumerate_homomorphisms``, in the same order.
 
     Backtracks over carrier elements in increasing order with image

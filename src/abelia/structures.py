@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
-                   enumerate_homomorphisms, hom_tables, hom_violation, product)
+                   _hom_tables, enumerate_homomorphisms, hom_violation, product)
 from .normalproj import check_np_pair
 
 
@@ -57,13 +57,14 @@ class LawVerdict:
     witness: tuple[int, ...] | None
 
 
-def _subtraction_search(A: FiniteAlgebra, caps: Caps | None):
-    """product(A, A) and the stream of subtraction tables on it.
+def _subtraction_pins(A: FiniteAlgebra,
+                      caps: Caps | None) -> tuple[ProductAlgebra, dict[int, int]]:
+    """product(A, A) and the pins s(x, x) = 0 and s(x, 0) = x of the
+    subtraction search, after the cap check.
 
-    Backtracking over the |A|^2 table cells with s(x, x) = 0 and
-    s(x, 0) = x pinned; homomorphism constraints prune as usual.  So every
-    table found is a subtraction, and the cap is checked before the stream
-    is returned.
+    The search backtracks over the |A|^2 table cells with these pinned;
+    homomorphism constraints prune as usual, so every map found is a
+    subtraction.
     """
     caps = caps or DEFAULT_CAPS
     P = product(A, A)
@@ -73,12 +74,7 @@ def _subtraction_search(A: FiniteAlgebra, caps: Caps | None):
     for x in range(A.size):
         pins[P.pair(x, x)] = 0
         pins[P.pair(x, 0)] = x
-    return P, hom_tables(P, A, pins)
-
-
-def _proved_subtraction(A: FiniteAlgebra, P: ProductAlgebra,
-                        table: tuple[int, ...]) -> InternalSubtraction:
-    return InternalSubtraction._proved(A, Homomorphism._proved(P, A, table))
+    return P, pins
 
 
 def internal_subtraction_tables(A: FiniteAlgebra,
@@ -87,38 +83,26 @@ def internal_subtraction_tables(A: FiniteAlgebra,
     lexicographic order, built lazily and wrapped in no object.
 
     Raises ``CapExceeded`` at the call when |A|^2 is above
-    ``caps.structure_src``.  The CLI's ``internal-subtractions`` keeps these
-    tables as compact rows and writes them in chunks;
-    ``find_internal_subtractions`` builds an ``InternalSubtraction`` from
-    each, and ``first_internal_subtraction`` from the first one only.
+    ``caps.structure_src``.  The CLI's ``internal-subtractions`` reads
+    these tables and keeps them as compact rows.
     """
-    return _subtraction_search(A, caps)[1]
+    P, pins = _subtraction_pins(A, caps)
+    return _hom_tables(P, A, pins)
 
 
 def find_internal_subtractions(A: FiniteAlgebra,
                                caps: Caps | None = None) -> list[InternalSubtraction]:
     """All internal subtractions on A, in lexicographic table order.
 
-    One ``InternalSubtraction`` over one ``Homomorphism`` per table of
-    ``internal_subtraction_tables``, built without re-checking, since the
-    search pins s(x, x) = 0 and s(x, 0) = x.  Callers that need only the
-    count and the first one call ``first_internal_subtraction``.
+    The same search as ``internal_subtraction_tables``, read through
+    ``enumerate_homomorphisms``: one ``InternalSubtraction`` over one
+    ``Homomorphism`` per table, built without re-checking.  The CLI's
+    ``abelian`` and ``crystallographic_report`` build all of them here
+    and use the count and the first one.
     """
-    P, tables = _subtraction_search(A, caps)
-    return [_proved_subtraction(A, P, t) for t in tables]
-
-
-def first_internal_subtraction(A: FiniteAlgebra, caps: Caps | None = None
-                               ) -> tuple[InternalSubtraction | None, int]:
-    """The first internal subtraction on A in table order (None if there is
-    none) and the number of them.  It counts the table stream and builds
-    only the first subtraction.
-    """
-    P, tables = _subtraction_search(A, caps)
-    first = next(tables, None)
-    if first is None:
-        return None, 0
-    return _proved_subtraction(A, P, first), 1 + sum(1 for _ in tables)
+    P, pins = _subtraction_pins(A, caps)
+    proved = InternalSubtraction._proved
+    return [proved(A, h) for h in enumerate_homomorphisms(P, A, pins)]
 
 
 def verify_group_law(s: InternalSubtraction) -> LawVerdict:
@@ -342,30 +326,30 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
     for A in sorted(catalog, key=lambda X: X.name):
         np_self = check_np_pair(A, A, caps).holds
         np_square = check_np_pair(A, product(A, A), caps).holds
-        first, count = first_internal_subtraction(A, caps)
+        subs = find_internal_subtractions(A, caps)
         anomalies: list[str] = []
         preconditions = np_self and np_square
         group_ok: bool | None = None
         abelian: bool | None = None
-        if first is not None:
-            law = verify_group_law(first)
+        if subs:
+            law = verify_group_law(subs[0])
             group_ok = law.holds
-            result = derive_abelian(first)
+            result = derive_abelian(subs[0])
             abelian = result.ok
         problems: list[str] = []
-        if count > 1:
-            problems.append(f"{A.name}: {count} internal subtractions")
-        if first is not None and not group_ok:
+        if len(subs) > 1:
+            problems.append(f"{A.name}: {len(subs)} internal subtractions")
+        if subs and not group_ok:
             problems.append(f"{A.name}: group law fails at {law.witness}")
-        if first is not None and not abelian:
+        if subs and not abelian:
             problems.append(f"{A.name}: derived structure fails {result.failed_axiom}")
         if preconditions:
             violations.extend(problems)
-            if first is not None and abelian:
-                verified.append((A, first, result.structure))
+            if subs and abelian:
+                verified.append((A, subs[0], result.structure))
         else:
             anomalies.extend(problems)
-        entries.append(CrystalEntry(A.name, np_self, np_square, count,
+        entries.append(CrystalEntry(A.name, np_self, np_square, len(subs),
                                     group_ok, abelian, tuple(anomalies)))
     hom_checks = 0
     for A, s, ab in verified:

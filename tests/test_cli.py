@@ -1,6 +1,5 @@
 import json
 import pathlib
-import random
 import subprocess
 import sys
 from collections import Counter
@@ -8,14 +7,13 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from abelia import (Caps, Homomorphism, InternalSubtraction, builtin,
-                    find_internal_subtractions, list_builtins, parse_algebra,
-                    serialize_algebra)
+from abelia import (Caps, FiniteAlgebra, Homomorphism, InternalSubtraction,
+                    Signature, builtin, find_internal_subtractions,
+                    list_builtins, op_table, parse_algebra, serialize_algebra)
 from abelia import cli
 from abelia.catalog import _cyclic
 from abelia.cli import main
 from oracles import brute_subtraction_tables
-from test_generated_algebras import random_pointed_algebra
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "verdict-schema.json").read_text())
@@ -196,42 +194,40 @@ def count_proved(monkeypatch) -> Counter:
     return built
 
 
-def test_subtraction_commands_build_no_object_per_map(capsys, monkeypatch):
-    # P3 has 3**4 = 81 subtractions.  internal-subtractions writes their
-    # tables and abelian reads the first one and the count.
+def test_internal_subtractions_builds_no_object_per_map(capsys, monkeypatch):
+    # P3 has 3**4 = 81 subtractions; internal-subtractions writes their
+    # tables without building a map object for any of them.
     built = count_proved(monkeypatch)
     code, payload = run_json(capsys, "internal-subtractions", "@builtin:P3")
     assert (code, payload["instances"], len(payload["subtractions"])) == (0, 81, 81)
     code, out, _ = run(capsys, "internal-subtractions", "@builtin:P3")
     assert (code, len(out.splitlines())) == (0, 82)
     assert built == Counter()
-    code, payload = run_json(capsys, "abelian", "@builtin:P3")
-    assert (code, payload["subtractions"]) == (1, 81)
-    assert all(count <= 1 for count in built.values()), built
-    built.clear()
-    assert run(capsys, "abelian", "@builtin:P3")[0] == 1
-    assert all(count <= 1 for count in built.values()), built
 
 
-def subtraction_inputs():
-    # Z11 and Z12 have one subtraction each, P3 has 81 and the generated
-    # algebras none.
-    rng = random.Random(71)
-    yield _cyclic(11, "Z11")
-    yield _cyclic(12, "Z12")
-    yield builtin("P3").algebra
-    for i in range(3):
-        yield random_pointed_algebra(rng, 5, f"G{i}_")
+def two_subtractions_on_eleven() -> FiniteAlgebra:
+    """An 11-element algebra with exactly two internal subtractions.
+
+    f sends every non-zero element to 1 and g cycles 1, ..., 10.  f forces
+    s(x, y) = 0 for non-zero x and y, and g makes s(0, y) either 0 or y,
+    so the rows hold the two-digit element 10.
+    """
+    ops = {"zero": (0,),
+           "f": op_table(11, 1, lambda x: min(x, 1)),
+           "g": op_table(11, 1, lambda x: x % 10 + 1 if x else 0)}
+    return FiniteAlgebra("R11", 11, Signature((("zero", 0), ("f", 1), ("g", 1))), ops)
 
 
-@pytest.mark.parametrize("A", subtraction_inputs(), ids=lambda A: A.name)
+@pytest.mark.parametrize("A", [_cyclic(11, "Z11"), _cyclic(12, "Z12"), builtin("P3").algebra,
+                               two_subtractions_on_eleven()], ids=lambda A: A.name)
 def test_internal_subtractions_text_matches_its_objects(A, capsys, monkeypatch, tmp_path):
-    # Elements of more than one digit, and a chunk size that splits the rows.
+    # Elements of more than one digit, and one row per written chunk.
     monkeypatch.setenv("ABELIA_CAPS", "structure_src=144")
-    monkeypatch.setattr(cli, "_ROW_CHUNK", 2)
+    monkeypatch.setattr(cli, "_ROW_CHUNK", 1)
     path = tmp_path / "a.alg"
     path.write_text(serialize_algebra(A), encoding="utf-8")
     tables = [s.hom.mapping for s in find_internal_subtractions(A, Caps(structure_src=144))]
+    assert len(tables) == {"R11": 2, "P3": 81}.get(A.name, 1)
     payload = {"schema_version": "1", "check": "internal-subtractions",
                "inputs": [A.name], "holds": None, "witness": None,
                "instances": len(tables), "subtractions": tables}
