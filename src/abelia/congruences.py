@@ -27,6 +27,15 @@ class Congruence:
             if not (0 <= r <= x) or self.rep[r] != r:
                 raise ValueError("rep table is not in least-representative form")
 
+    @classmethod
+    def _proved(cls, size: int, rep: tuple[int, ...]) -> "Congruence":
+        """A rep table the caller has built in least-representative form,
+        wrapped without the checks of ``__post_init__``."""
+        theta = object.__new__(cls)
+        object.__setattr__(theta, "size", size)
+        object.__setattr__(theta, "rep", rep)
+        return theta
+
     def same(self, x: int, y: int) -> bool:
         return self.rep[x] == self.rep[y]
 
@@ -211,13 +220,16 @@ def meet(t1: Congruence, t2: Congruence) -> Congruence:
 
 # The lattices of the most recently used algebras, least recent first.
 # Shifting and centralic on one product revisit its lattice back to back,
-# and 16 holds the lattices of all same-signature builtin pairs within the
-# default lattice cap (16 distinct tables), which surveys revisit.
-LATTICE_CACHE_SIZE = 16
+# and 18 holds the lattices of all same-signature builtin pairs within the
+# default lattice cap (18 distinct keys), which surveys revisit.
+LATTICE_CACHE_SIZE = 18
 _lattice_cache: OrderedDict = OrderedDict()
 
 
 def _algebra_key(A: FiniteAlgebra):
+    # A product is keyed by its factors, so that no product table is built.
+    if isinstance(A.tables, ProductTables):
+        return ("x", _algebra_key(A.tables.left), _algebra_key(A.tables.right))
     return (A.size, A.signature.ops, tuple(sorted(A.tables.items())))
 
 
@@ -227,9 +239,10 @@ def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruen
     The discrete congruence comes first and the all-pairs congruence last.
     A lattice of more than ``caps.lattice_count`` congruences is refused as
     soon as the build passes that many.
-    The lattices of the last ``LATTICE_CACHE_SIZE`` algebras are kept, keyed
-    by operation-table content, since several checks revisit the same
-    product lattice.
+    The lattices of the last ``LATTICE_CACHE_SIZE`` algebras are kept, since
+    several checks revisit the same product lattice.  A plain algebra is
+    keyed by its operation tables, and a product by its factors' keys, so a
+    lazy product and its read-out tables are cached apart.
     """
     caps = caps or DEFAULT_CAPS
     if A.size > caps.lattice:
@@ -255,12 +268,19 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     n = A.size
     if n > caps.cg:
         raise CapExceeded("congruence generation carrier", n, caps.cg)
-    rows = _op_rows(A)
-    # Principal congruences, with a generating pair remembered for each.
-    gens: dict[tuple[int, ...], tuple[int, int]] = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            gens.setdefault(_close(rows, list(range(n)), [(x, y)]), (x, y))
+    # Principal congruences, with the first generating pair of each.  An
+    # edge (x, y) -> (f(x), f(y)) of the pair graph, f a basic translation,
+    # means Cg(f(x), f(y)) is inside Cg(x, y) (Burris & Sankappanavar, A
+    # Course in Universal Algebra, §II.5).  At the first pair p, in
+    # lexicographic order, that no earlier closure has covered, pi = Cg(p)
+    # is closed once.  The walk back from p along the predecessor lists goes
+    # only through pairs q with pi[q0] == pi[q1], and covers them: q reaches
+    # p, so Cg(q) contains pi, and q lies in pi, so Cg(q) is inside pi.  A
+    # path from such a q to p never leaves pi, which is closed under
+    # translations, so the walk finds all of them.  The first pair of each
+    # principal is never covered, since that would take an earlier pair with
+    # the same principal; so the dict is what one closure per pair gives.
+    gens = _principals(_op_rows(A), n)
     # Each principal's generating pair and non-trivial links (z, pi[z]).
     principal = [(x, y, [(z, r) for z, r in enumerate(pi) if r != z])
                  for pi, (x, y) in gens.items()]
@@ -298,6 +318,47 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
                         raise CapExceeded("congruence lattice size", len(seen),
                                           caps.lattice_count)
         frontier = nxt
-    out = [Congruence(n, rep) for rep in seen]
-    out.sort(key=lambda t: (-t.num_blocks, t.rep))
-    return out
+    # Every table here comes from _close, so it is in least-representative
+    # form already.
+    proved = Congruence._proved
+    return [proved(n, rep) for rep in sorted(seen, key=lambda r: (-len(set(r)), r))]
+
+
+def _principals(rows, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each distinct principal congruence Cg(x, y), mapped to the first pair
+    (x, y), x < y, in lexicographic order that generates it, in the order of
+    those first pairs: what one ``_close`` per pair gives, from one closure
+    per class of pairs with a common principal (see ``_build_lattice``).
+
+    The pair graph has an edge from (x, y) to (f(x), f(y)) for every basic
+    translation f: the aligned entries of row(x) and row(y) of one row
+    function.  Building its predecessor lists scans each pair's rows once.
+    """
+    # Pair (x, y), x < y, is the number x * n + y; pred[q] lists each pair
+    # with an edge to q once.
+    pred: list[list[int]] = [[] for _ in range(n * n)]
+    flat = [[v for row in rows for v in row(x)] for x in range(n)]
+    for x in range(n):
+        fx = flat[x]
+        for y in range(x + 1, n):
+            p = x * n + y
+            for q in {u * n + v if u < v else v * n + u
+                      for u, v in zip(fx, flat[y]) if u != v}:
+                pred[q].append(p)
+    gens: dict[tuple[int, ...], tuple[int, int]] = {}
+    covered = bytearray(n * n)
+    for x in range(n):
+        for y in range(x + 1, n):
+            p = x * n + y
+            if covered[p]:
+                continue
+            pi = _close(rows, list(range(n)), [(x, y)])
+            gens.setdefault(pi, (x, y))
+            covered[p] = 1
+            stack = [p]
+            while stack:
+                for q in pred[stack.pop()]:
+                    if not covered[q] and pi[q // n] == pi[q % n]:
+                        covered[q] = 1
+                        stack.append(q)
+    return gens

@@ -13,10 +13,19 @@ def test_congruence_canonical_form():
         Congruence(3, (0, 2, 2))  # rep must be the least member
     with pytest.raises(ValueError):
         Congruence(3, (1, 1, 2))
+    with pytest.raises(ValueError):
+        Congruence(4, (0, 1, 1, 2))  # 2 is not its own representative
     theta = Congruence(4, (0, 1, 0, 1))
     assert theta.same(0, 2) and not theta.same(0, 1)
     assert theta.num_blocks == 2
     assert theta.blocks() == [[0, 2], [1, 3]]
+
+
+def test_lattice_members_equal_validated_congruences(cat):
+    # The lattice build wraps its tables without the constructor's checks.
+    P = product(cat["P2"], cat["P3"])
+    for theta in all_congruences(P) + all_congruences(cat["V4"]):
+        assert theta == Congruence(theta.size, theta.rep)
 
 
 def test_from_blocks_round_trip():
@@ -183,6 +192,52 @@ def test_lattice_cache_is_bounded_and_keeps_recent(cat, monkeypatch):
     all_congruences(cyclic[0], caps)
     assert builds.count(1) == 2
     assert len(congruences._lattice_cache) == bound
+
+
+def test_lattice_of_a_product_builds_no_product_table(cat, monkeypatch):
+    import abelia.congruences as congruences
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    P = product(cat["Z4"], cat["Z4"])
+    all_congruences(P, Caps(lattice=16))
+    # the one-entry zero table is read when the product is built
+    assert set(P.tables._built) == {"zero"}
+    # a second product of the same factors hits the cache
+    builds = []
+    build = congruences._build_lattice
+    monkeypatch.setattr(congruences, "_build_lattice",
+                        lambda A, caps: builds.append(A) or build(A, caps))
+    all_congruences(product(cat["Z4"], cat["Z4"]), Caps(lattice=16))
+    assert builds == []
+
+
+def test_shifting_and_centralic_share_one_lattice(cat, monkeypatch):
+    import abelia.congruences as congruences
+    from abelia import cross_check_conditions
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    builds = []
+    build = congruences._build_lattice
+    monkeypatch.setattr(congruences, "_build_lattice",
+                        lambda A, caps: builds.append(A.name) or build(A, caps))
+    report = cross_check_conditions([cat["Z2"]])
+    assert report.pairs[0].shifting_holds is not None
+    assert report.pairs[0].centralic_ok is not None
+    assert builds == ["Z2xZ2"]
+
+
+def test_principal_congruences_take_one_closure_per_class(monkeypatch):
+    # Z8 x Z8 has 2,016 pairs but 21 principal congruences; the lattice
+    # build runs one row-scanning closure per class of pairs, not per pair.
+    import abelia.congruences as congruences
+    from abelia.catalog import _cyclic
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    closes = []
+    close = congruences._close
+    monkeypatch.setattr(congruences, "_close",
+                        lambda rows, *args: closes.append(rows != ()) or close(rows, *args))
+    Z8 = _cyclic(8, "Z8")
+    lattice = all_congruences(product(Z8, Z8), Caps.from_env("cg=64,lattice=64"))
+    assert len(lattice) == 37
+    assert sum(closes) <= 33
 
 
 def test_lattice_count_cap_stops_the_build_early(cat, monkeypatch):

@@ -10,13 +10,14 @@ import random
 import pytest
 
 from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
-                    Homomorphism, InternalSubtraction, Signature,
-                    all_congruences, builtin, centralic_check, cg,
+                    Homomorphism, InternalSubtraction, ProductAlgebra,
+                    Signature, all_congruences, builtin, centralic_check, cg,
                     check_np_pair, enumerate_homomorphisms,
                     find_internal_subtractions, free_algebra,
                     generate_term_ops, hom_violation, join, list_builtins,
                     parse_algebra, product, quotient, serialize_algebra,
                     shifting_shape_check)
+from abelia import congruences
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
 from abelia.core import ZERO_OP, op_table, pointwise, vector_type
@@ -145,7 +146,6 @@ def test_cg_on_products_matches_materialised_tables():
 
 
 def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
-    import abelia.congruences as congruences
     monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
     checked = joined = eights = 0
     for _, A, B, C in generated_triples(90, seed=37):
@@ -154,7 +154,6 @@ def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
                 continue
             oracle = [tuple(r) for r in congruence_reps_by_filter(materialised(P))]
             expect = sorted(oracle, key=lambda r: (-len(set(r)), r))
-            # a lazy product and its read-out tables share one cache key
             for X in (P, materialised(P)):
                 congruences._lattice_cache.clear()
                 assert [t.rep for t in all_congruences(X)] == expect, P.name
@@ -162,6 +161,51 @@ def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
             joined += len(expect) > 5
             eights += P.size == 8
     assert checked >= 30 and joined >= 20 and eights >= 2
+
+
+def one_close_per_pair(A: FiniteAlgebra) -> dict:
+    """Each principal congruence with its first generating pair, one closure
+    per pair in lexicographic order."""
+    rows, n = congruences._op_rows(A), A.size
+    gens = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            gens.setdefault(congruences._close(rows, list(range(n)), [(x, y)]), (x, y))
+    return gens
+
+
+def test_principals_match_one_closure_per_pair(monkeypatch):
+    # The lattice build computes one closure per class of pairs that share
+    # a principal congruence; the dict and its order must not change.
+    closes = []
+    close = congruences._close
+    monkeypatch.setattr(congruences, "_close",
+                        lambda *args: closes.append(1) or close(*args))
+    algebras = [A for _, A in generated(60, seed=71)]
+    products = []
+    for _, A, B, C in generated_triples(60, seed=73):
+        products += [product(A, B), product(A, product(B, C))]
+    products = [P for P in products if P.size <= 12]
+    triples = sum(isinstance(P.right, ProductAlgebra) for P in products)
+    algebras += products
+    builtins = [builtin(name).algebra for name in list_builtins()]
+    algebras += [product(A, B) for A in builtins for B in builtins
+                 if A.signature == B.signature]
+    ternary = constants = pairs = runs = 0
+    for A in algebras:
+        expect = one_close_per_pair(A)
+        closes.clear()
+        got = congruences._principals(congruences._op_rows(A), A.size)
+        assert list(got.items()) == list(expect.items()), A.name
+        pairs += A.size * (A.size - 1) // 2
+        ternary += any(arity == 3 for _, arity in A.signature.ops)
+        constants += any(arity == 0 and A.tables[name] != (0,)
+                         for name, arity in A.signature.ops)
+        runs += len(closes)
+    assert len(algebras) >= 190 and triples >= 20
+    assert ternary >= 60 and constants >= 100
+    # 1,650 closures for 2,825 pairs
+    assert runs * 4 <= pairs * 3
 
 
 def test_np_matches_partition_oracle_on_generated_pairs():
