@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -205,42 +206,81 @@ def _cmd_unit_term(args, caps: Caps) -> int:
     return _term_search(args, caps, "unit-term", "unit term", find_unit_term)
 
 
-# Rows of internal-subtractions output are written this many at a time.
+# Tables of internal-subtractions output are written this many at a time.
 _ROW_CHUNK = 4096
 
 
-def _row_texts(rows, n: int):
-    """The rows as json.dumps and ``str(list(row))`` write a list of ints,
-    one list of texts per chunk of ``_ROW_CHUNK`` rows."""
-    name = [str(v) for v in range(n)].__getitem__
-    for i in range(0, len(rows), _ROW_CHUNK):
-        yield ["[" + ", ".join(map(name, row)) + "]" for row in rows[i:i + _ROW_CHUNK]]
+def _table_rows(tables, n: int):
+    """The tables kept for writing, and their count.  For n <= 256 they are
+    one flat bytearray, one byte per cell, with nothing kept per table; a
+    larger carrier's values fit no byte, so there each table stays a tuple."""
+    if vector_type(n) is bytes:
+        rows = bytearray(itertools.chain.from_iterable(tables))
+        return rows, len(rows) // (n * n)
+    rows = list(tables)
+    return rows, len(rows)
+
+
+def _row_chunks(rows, n: int, head: str, tail: str, between: str):
+    """The tables that ``_table_rows`` kept, each written as ``json.dumps``
+    and ``str(list(t))`` write a list of ints, between ``head`` and
+    ``tail``, and joined by ``between``: one text per chunk of
+    ``_ROW_CHUNK`` tables."""
+    if vector_type(n) is tuple:
+        name = [str(v) for v in range(n)].__getitem__
+        for i in range(0, len(rows), _ROW_CHUNK):
+            yield between.join([head + ", ".join(map(name, row)) + tail
+                                for row in rows[i:i + _ROW_CHUNK]])
+        return
+    # A chunk is written column by column into copies of one row template
+    # that has a NUL slot per decimal digit of n - 1 in every cell.
+    # place[d] maps a value to its digit at place d, or to NUL where that
+    # digit is a leading zero, and the NULs are deleted at the end.
+    cells = n * n
+    width = len(str(n - 1))
+    slots = ", ".join(["\0" * width] * cells)
+    template = bytearray(head + slots + tail + between, "ascii")
+    step = len(template)
+    place = [bytes(48 + v // 10 ** d % 10 if d == 0 or v >= 10 ** d else 0
+                   for v in range(256)) for d in range(width)]
+    # the units slot of each cell
+    units = [len(head) + c * (width + 2) + width - 1 for c in range(cells)]
+    size = _ROW_CHUNK * cells
+    for start in range(0, len(rows), size):
+        chunk = rows[start:start + size]
+        buf = template * (len(chunk) // cells)
+        for c, slot in enumerate(units):
+            col = chunk[c::cells]
+            for d, digit in enumerate(place):
+                buf[slot - d::step] = col.translate(digit)
+        buf = buf.translate(None, b"\0")
+        del buf[len(buf) - len(between):]
+        yield buf.decode("ascii")
 
 
 def _cmd_internal_subtractions(args, caps: Caps) -> int:
     A = _resolve(args, args.a)
-    # One compact row per table; there are 4**9 of them on a 4-element
-    # pointed set, so no object is built per table and the output, 13 MB
-    # there, is written a chunk at a time.
-    vector = vector_type(A.size)
-    rows = [vector(t) for t in internal_subtraction_tables(A, caps)]
+    # There are 4**9 tables on a 4-element pointed set.  They are kept as
+    # 4 MiB of bytes with no object per table, and the output, 13 MB there,
+    # is written a chunk at a time.
+    rows, count = _table_rows(internal_subtraction_tables(A, caps), A.size)
     write = sys.stdout.write
     if args.json:
-        # Everything but the rows comes from json.dumps, split at the empty
+        # Everything but the tables comes from json.dumps, split at the empty
         # list that stands in for them; "witness" is the only key after it.
         head, _, tail = json.dumps(
-            _payload("internal-subtractions", [A.name], None, None, len(rows),
+            _payload("internal-subtractions", [A.name], None, None, count,
                      subtractions=[]), sort_keys=True).rpartition("[]")
         write(head + "[")
         sep = ""
-        for texts in _row_texts(rows, A.size):
-            write(sep + ", ".join(texts))
+        for text in _row_chunks(rows, A.size, "[", "]", ", "):
+            write(sep + text)
             sep = ", "
         write("]" + tail + "\n")
     else:
-        write(f"internal subtractions on {A.name}: {len(rows)}\n")
-        for texts in _row_texts(rows, A.size):
-            write("".join([f"  s={t}\n" for t in texts]))
+        write(f"internal subtractions on {A.name}: {count}\n")
+        for text in _row_chunks(rows, A.size, "  s=[", "]\n", ""):
+            write(text)
     return 0
 
 

@@ -220,6 +220,29 @@ def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
     return NpVerdict(holds, theta_star, witness)
 
 
+def _centralic_violations(A: FiniteAlgebra, B: FiniteAlgebra, caps: Caps):
+    """The violations of the centralic law on A x B, in order, as
+    (theta, (x, y, z), lhs, rhs); the generator returns the number of
+    instances it checked."""
+    P = product(A, B)
+    if P.size > caps.lattice:
+        raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
+    nb = B.size
+    # (x, 0) and (y, 0) are elements x*nb and y*nb; (x, z) is x*nb + z.
+    slice_pairs = [(x, y, x * nb, y * nb) for x in range(A.size) for y in range(A.size)]
+    instances = 0
+    for theta in all_congruences(P, caps):
+        rep = theta.rep
+        for x, y, u, v in slice_pairs:
+            if rep[u] != rep[v]:
+                continue
+            instances += nb
+            for z in range(nb):
+                if rep[u + z] != rep[v + z]:
+                    yield theta, (x, y, z), rep[u + z], rep[v + z]
+    return instances
+
+
 def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
                     caps: Caps | None = None) -> ConditionReport:
     """Translation-invariance of slice collapses, over every congruence.
@@ -229,26 +252,14 @@ def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
     violating (theta, x, y, z); lhs and rhs are the block representatives
     of (x, z) and (y, z).  Passing implies the pair-level law.
     """
-    caps = caps or DEFAULT_CAPS
-    P = product(A, B)
-    if P.size > caps.lattice:
-        raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
-    nb = B.size
-    # (x, 0) and (y, 0) are elements x*nb and y*nb; (x, z) is x*nb + z.
-    slice_pairs = [(x, y, x * nb, y * nb) for x in range(A.size) for y in range(A.size)]
-    instances = 0
+    violations = _centralic_violations(A, B, caps or DEFAULT_CAPS)
     failures: list[ConditionFailure] = []
-    for theta in all_congruences(P, caps):
-        rep = theta.rep
-        for x, y, u, v in slice_pairs:
-            if rep[u] != rep[v]:
-                continue
-            instances += nb
-            for z in range(nb):
-                if rep[u + z] != rep[v + z]:
-                    failures.append(ConditionFailure(
-                        (), (x, y, z), rep[u + z], rep[v + z], theta))
-    return ConditionReport("centralic", instances, tuple(failures))
+    while True:
+        try:
+            theta, point, lhs, rhs = next(violations)
+        except StopIteration as done:
+            return ConditionReport("centralic", done.value, tuple(failures))
+        failures.append(ConditionFailure((), point, lhs, rhs, theta))
 
 
 @dataclass(frozen=True)
@@ -315,7 +326,8 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
                 if shifting != np.holds:
                     discrepancies.append(
                         f"lattice and generated-congruence checks disagree on ({A.name}, {B.name})")
-                centralic = centralic_check(A, B, caps).ok
+                # Only the verdict is kept, so the scan stops at the first violation.
+                centralic = next(_centralic_violations(A, B, caps), None) is None
                 if centralic and not np.holds:
                     discrepancies.append(
                         f"centralic passes but the pair law fails on ({A.name}, {B.name})")

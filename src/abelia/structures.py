@@ -84,7 +84,8 @@ def internal_subtraction_tables(A: FiniteAlgebra,
 
     Raises ``CapExceeded`` at the call when |A|^2 is above
     ``caps.structure_src``.  The CLI's ``internal-subtractions`` reads
-    these tables and keeps them as compact rows.
+    these tables into one flat bytearray, one byte per cell, when
+    |A| <= 256.
     """
     P, pins = _subtraction_pins(A, caps)
     return _hom_tables(P, A, pins)

@@ -1,7 +1,9 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import jsonschema
@@ -236,6 +238,62 @@ def test_internal_subtractions_text_matches_its_objects(A, capsys, monkeypatch, 
     code, out, _ = run(capsys, "internal-subtractions", str(path))
     assert (code, out) == (0, "\n".join([f"internal subtractions on {A.name}: {len(tables)}"]
                                         + [f"  s={list(t)}" for t in tables]) + "\n")
+
+
+def synthetic_tables(n: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` seeded n x n tables over n elements; the first holds 0 and
+    n - 1, the narrowest and the widest value."""
+    rng = random.Random(n * 1009 + count)
+    tables = [tuple(rng.randrange(n) for _ in range(n * n)) for _ in range(count)]
+    if tables:
+        tables[0] = (0, n - 1) + tables[0][2:] if n > 1 else (0,)
+    return tables
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 256, 257])
+def test_row_writer_matches_json_and_str(n, chunk, monkeypatch):
+    # 257 is the first carrier whose values fit no byte: one tuple per table.
+    monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+    tables = synthetic_tables(n, 7 if n <= 11 else 4)
+    rows, count = cli._table_rows(iter(tables), n)
+    assert count == len(tables)
+    assert isinstance(rows, bytearray if n <= 256 else list)
+    texts = list(cli._row_chunks(rows, n, "[", "]", ", "))
+    assert len(texts) == -(-count // chunk)
+    assert ", ".join(texts) == ", ".join(json.dumps(list(t)) for t in tables)
+    texts = list(cli._row_chunks(rows, n, "  s=[", "]\n", ""))
+    assert "".join(texts) == "".join(f"  s={list(t)}\n" for t in tables)
+
+
+@pytest.mark.parametrize("n", [1, 4, 257])
+def test_row_writer_on_no_tables(n):
+    rows, count = cli._table_rows(iter([]), n)
+    assert count == 0
+    assert list(cli._row_chunks(rows, n, "[", "]", ", ")) == []
+
+
+def test_internal_subtractions_keeps_no_object_per_table(capsys, monkeypatch):
+    # P3's 81 tables are read with fewer new live allocations from cli.py
+    # than there are tables: no bytes object or list is kept per table.
+    search = cli.internal_subtraction_tables
+    kept = []
+
+    def traced(A, caps):
+        cli_only = [tracemalloc.Filter(True, cli.__file__)]
+        before = len(tracemalloc.take_snapshot().filter_traces(cli_only).traces)
+        yield from search(A, caps)
+        after = len(tracemalloc.take_snapshot().filter_traces(cli_only).traces)
+        kept.append(after - before)
+
+    monkeypatch.setattr(cli, "internal_subtraction_tables", traced)
+    tracemalloc.start()
+    try:
+        code, payload = run_json(capsys, "internal-subtractions", "@builtin:P3")
+    finally:
+        tracemalloc.stop()
+    assert (code, len(payload["subtractions"])) == (0, 81)
+    assert len(kept) == 1 and kept[0] < 81
 
 
 def test_abelian_on_group(capsys):

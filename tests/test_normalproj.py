@@ -8,6 +8,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, check_condition_b,
                     check_np_pair, centralic_check, cross_check_conditions,
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
                     op_table, product, shifting_shape_check, zero_hom)
+from abelia import normalproj
 from oracles import np_hom_refutes, np_partition_oracle
 
 
@@ -300,11 +301,16 @@ def test_cross_check_groups(cat):
     assert all(p.centralic_ok for p in report.pairs)
 
 
-def test_cross_check_pointed(cat):
+def test_cross_check_pointed(cat, monkeypatch):
+    # Only the centralic verdict is kept, so no failure is built for it.
+    built = []
+    monkeypatch.setattr(normalproj, "ConditionFailure",
+                        lambda *args: built.append(args))
     report = cross_check_conditions([cat["P2"], cat["P3"]])
     assert report.ok
     assert all(not p.np_holds for p in report.pairs)
     assert all(p.centralic_ok is False for p in report.pairs)
+    assert built == []
     assert all(p.d_instances == 0 for p in report.pairs)
 
 
