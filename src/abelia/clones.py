@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import FiniteAlgebra, ZERO_OP, pointwise, vector_type
+from .core import FiniteAlgebra, ZERO_OP, coordinates, pointwise, vector_type
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,26 @@ class Term:
 
 
 def evaluate_term(A: FiniteAlgebra, term: Term, k: int) -> tuple[int, ...]:
-    """Flat table of the k-ary term operation, row-major over argument tuples."""
+    """Flat table of the k-ary term operation, row-major over argument tuples,
+    evaluated on the columns ``coordinates((n,) * k)`` of the variables."""
+    n = A.size
+    variables = coordinates((n,) * k)
 
-    def run(t: Term, args: tuple[int, ...]) -> int:
+    def run(t: Term):
         if t.head in A.tables:
-            return A.apply(t.head, *(run(s, args) for s in t.args))
+            arity = A.signature.arity(t.head)
+            if len(t.args) != arity:
+                raise ValueError(f"symbol {t.head!r} has arity {arity}, "
+                                 f"given {len(t.args)} arguments")
+            if arity == 0:
+                return vector_type(n)(A.tables[t.head] * n ** k)
+            return pointwise(A.tables[t.head], n, arity)([run(s) for s in t.args])
         i = int(t.head[1:]) if t.head.startswith("x") and t.head[1:].isdecimal() else 0
         if not 1 <= i <= k:
             raise ValueError(f"unknown symbol {t.head!r} in a {k}-ary term")
-        return args[i - 1]
+        return variables[i - 1]
 
-    if k == 0:
-        return (run(term, ()),)
-    return tuple(run(term, args) for args in itertools.product(range(A.size), repeat=k))
+    return tuple(run(term))
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,16 @@ Operation tables are flat tuples in row-major order over argument tuples
 (last argument varies fastest), so a k-ary operation on n elements has a
 table of n**k entries.  A product's tables are built per operation on
 first read and then kept, so code that reads a product's operations through
-its factors (congruence generation does) never builds them.  Code that
-applies an operation to whole column vectors (the free algebra, the clone
-closure) builds the op's applier once with ``pointwise`` and keeps its
-vectors as ``vector_type(n)``.
+its factors (congruence generation does) never builds them.  All table
+arithmetic goes through ``coordinates``, the digit columns of a row-major
+order, and ``pointwise``, which applies an op to whole columns kept as
+``vector_type(n)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -125,6 +126,19 @@ def vector_type(n: int) -> type:
     return bytes if n <= 256 else tuple
 
 
+def coordinates(radices: tuple[int, ...]) -> tuple:
+    """The digit columns of the row-major order on range(r0) x range(r1) x
+    ..., last digit fastest: entry t of column j is digit j of t, and
+    column j has type ``vector_type(radices[j])``.  Handed to ``pointwise``,
+    the columns of ``(n,) * k`` give an op's whole table in its own layout."""
+    cols = []
+    for j, r in enumerate(radices):
+        stride = math.prod(radices[j + 1:])
+        digits = itertools.chain.from_iterable(itertools.repeat(d, stride) for d in range(r))
+        cols.append(vector_type(r)(digits) * math.prod(radices[:j]))
+    return tuple(cols)
+
+
 def pointwise(table: tuple[int, ...], n: int, arity: int):
     """The applier of an ``arity``-ary op (arity >= 1) on n elements to
     column vectors of ``vector_type(n)``, one column per argument: entry r
@@ -207,8 +221,11 @@ class FiniteAlgebra:
 
 def hom_violation(source: FiniteAlgebra, target: FiniteAlgebra,
                   mapping: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
-    """First (operation, argument tuple) where mapping fails to commute, else None."""
-    m = target.size
+    """First (operation, argument tuple) where mapping fails to commute, else
+    None.  Each op compares whole columns; a row is located only on a mismatch."""
+    n, m = source.size, target.size
+    vector = vector_type(m)
+    image = mapping.__getitem__
     for opname, arity in source.signature.ops:
         st = source.tables[opname]
         tt = target.tables[opname]
@@ -216,12 +233,12 @@ def hom_violation(source: FiniteAlgebra, target: FiniteAlgebra,
             if mapping[st[0]] != tt[0]:
                 return (opname, ())
             continue
-        for i, args in enumerate(itertools.product(range(source.size), repeat=arity)):
-            ti = 0
-            for a in args:
-                ti = ti * m + mapping[a]
-            if mapping[st[i]] != tt[ti]:
-                return (opname, args)
+        cols = coordinates((n,) * arity)
+        lhs = vector(map(image, st))
+        rhs = pointwise(tt, m, arity)([vector(map(image, col)) for col in cols])
+        if lhs != rhs:
+            i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            return (opname, tuple(col[i] for col in cols))
     return None
 
 
@@ -388,20 +405,17 @@ class ProductTables(Mapping):
 
 def _product_table(A: FiniteAlgebra, B: FiniteAlgebra, opname: str,
                    arity: int) -> tuple[int, ...]:
+    # A x B's argument tuples run in the row-major order on (a1, b1, a2, b2,
+    # ...): the even columns are A's arguments, the odd ones B's.
     ta = A.tables[opname]
     tb = B.tables[opname]
     nb = B.size
     if arity == 0:
         return (ta[0] * nb + tb[0],)
-    out = []
-    for args in itertools.product(range(A.size * nb), repeat=arity):
-        ia = ib = 0
-        for e in args:
-            i, j = divmod(e, nb)
-            ia = ia * A.size + i
-            ib = ib * nb + j
-        out.append(ta[ia] * nb + tb[ib])
-    return tuple(out)
+    cols = coordinates((A.size, nb) * arity)
+    left = pointwise(ta, A.size, arity)(cols[0::2])
+    right = pointwise(tb, nb, arity)(cols[1::2])
+    return tuple(a * nb + b for a, b in zip(left, right))
 
 
 def product(A: FiniteAlgebra, B: FiniteAlgebra) -> ProductAlgebra:
@@ -531,57 +545,37 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
             return
 
 
-def _partition_violation(A: FiniteAlgebra, rep) -> tuple[str, tuple[int, ...]] | None:
-    # Single-coordinate substitutions reach every blockwise-equal tuple by
-    # transitivity, so checking them suffices.
-    n = A.size
-    for opname, arity in A.signature.ops:
-        if arity == 0:
-            continue
-        table = A.tables[opname]
-        for i, args in enumerate(itertools.product(range(n), repeat=arity)):
-            for p, a in enumerate(args):
-                stride = n ** (arity - 1 - p)
-                for y in range(n):
-                    if y != a and rep[y] == rep[a]:
-                        j = i + (y - a) * stride
-                        if rep[table[i]] != rep[table[j]]:
-                            return (opname, args)
-    return None
-
-
 def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homomorphism]:
     """The quotient A/theta together with its canonical surjection.
 
     Blocks are renumbered with the block of 0 first, the rest by least
-    member in increasing order.
+    member in increasing order.  Each op of A/theta is A's op at the
+    blocks' least members.  The partition is a congruence exactly when the
+    block map commutes with these ops, since any argument tuple and its
+    tuple of least members are blockwise equal; otherwise
+    ``IncompatiblePartition`` names an (op, args) where it does not.
     """
     if theta.size != A.size:
         raise ValueError(f"congruence is over {theta.size} elements, algebra has {A.size}")
-    viol = _partition_violation(A, theta.rep)
-    if viol is not None:
-        raise IncompatiblePartition(
-            f"partition is not compatible with {viol[0]} at {viol[1]}")
-    zero_rep = theta.rep[0]
-    reps = [zero_rep] + sorted(r for r in set(theta.rep) if r != zero_rep)
+    reps = sorted(set(theta.rep))
     index = {r: i for i, r in enumerate(reps)}
+    block = tuple(index[r] for r in theta.rep)
     size = len(reps)
+    vector = vector_type(A.size)
     tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
         table = A.tables[opname]
         if arity == 0:
-            tables[opname] = (index[theta.rep[table[0]]],)
+            tables[opname] = (block[table[0]],)
             continue
-        out = []
-        for args in itertools.product(range(size), repeat=arity):
-            ia = 0
-            for a in args:
-                ia = ia * A.size + reps[a]
-            out.append(index[theta.rep[table[ia]]])
-        tables[opname] = tuple(out)
+        cols = [vector(map(reps.__getitem__, col)) for col in coordinates((size,) * arity)]
+        tables[opname] = tuple(map(block.__getitem__, pointwise(table, A.size, arity)(cols)))
     Q = FiniteAlgebra(f"{A.name}/~", size, A.signature, tables)
-    surjection = Homomorphism(A, Q, tuple(index[theta.rep[x]] for x in range(A.size)))
-    return Q, surjection
+    viol = hom_violation(A, Q, block)
+    if viol is not None:
+        raise IncompatiblePartition(
+            f"partition is not compatible with {viol[0]} at {viol[1]}")
+    return Q, Homomorphism._proved(A, Q, block)
 
 
 def free_algebra(A: FiniteAlgebra, k: int,
@@ -616,10 +610,7 @@ def free_algebra(A: FiniteAlgebra, k: int,
         elems.append(vec)
         return index[vec]
 
-    gen_ids = []
-    for i in range(k):
-        stride = n ** (k - 1 - i)
-        gen_ids.append(intern(vector((t // stride) % n for t in range(positions))))
+    gen_ids = [intern(col) for col in coordinates((n,) * k)]
     for opname, arity in A.signature.ops:
         if arity == 0 and opname != ZERO_OP:
             intern(vector(A.tables[opname] * positions))

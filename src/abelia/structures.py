@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
-                   _hom_tables, enumerate_homomorphisms, hom_violation, product)
+                   _hom_tables, coordinates, enumerate_homomorphisms, hom_violation,
+                   pointwise, product)
 from .normalproj import check_np_pair
 
 
@@ -216,12 +217,10 @@ def verify_proof_construction_1(s: InternalSubtraction,
     dom = product(A, sq)
     if dom.size > caps.cg:
         raise CapExceeded("congruence generation carrier", dom.size, caps.cg)
-    table = []
-    for e in range(dom.size):
-        z, w = dom.split(e)
-        x, y = sq.split(w)
-        table.append(s(s(x, z), s(y, z)))
-    table = tuple(table)
+    # dom's elements run in the row-major order on (z, x, y).
+    z, x, y = coordinates((A.size,) * 3)
+    sub = pointwise(s.hom.mapping, A.size, 2)
+    table = tuple(sub([sub([x, z]), sub([y, z])]))
     f_hom = hom_violation(dom, A, table) is None
     zero_ok = all(table[dom.pair(z, 0)] == 0 for z in range(A.size))
     np = check_np_pair(A, sq, caps)

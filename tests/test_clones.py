@@ -23,9 +23,14 @@ def test_evaluate_term(cat):
     expect = tuple((x - y) % 3 for x, y in itertools.product(range(3), repeat=2))
     assert table == expect
     assert evaluate_term(Z3, Term("zero"), 1) == (0, 0, 0)
-    for symbol, k in [("x3", 2), ("mystery", 1), ("y", 1)]:
-        with pytest.raises(ValueError, match="unknown symbol"):
-            evaluate_term(Z3, Term(symbol), k)
+    x1 = Term("x1")
+    for term, k, match in [(Term("x3"), 2, "unknown symbol 'x3'"),
+                           (Term("mystery"), 1, "unknown symbol 'mystery'"),
+                           (Term("y"), 1, "unknown symbol 'y'"),
+                           (Term("add", (x1,)), 1, "'add' has arity 2"),
+                           (Term("neg", (x1, x1)), 1, "'neg' has arity 1")]:
+        with pytest.raises(ValueError, match=match):
+            evaluate_term(Z3, term, k)
 
 
 # acceptance criterion 8: closures against the depth-6 oracle, all 2-element fixtures

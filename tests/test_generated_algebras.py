@@ -4,15 +4,17 @@ enumeration, the file format, free algebras and the clone closure checked
 against the oracles on seeded random pointed algebras, beyond the builtin
 fixtures."""
 
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
 from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
-                    Homomorphism, InternalSubtraction, ProductAlgebra,
-                    Signature, all_congruences, builtin, centralic_check, cg,
-                    check_np_pair, enumerate_homomorphisms,
+                    Homomorphism, IncompatiblePartition, InternalSubtraction,
+                    ProductAlgebra, Signature, all_congruences, builtin,
+                    centralic_check, cg, check_np_pair, enumerate_homomorphisms,
                     find_internal_subtractions, free_algebra,
                     generate_term_ops, hom_violation, join, list_builtins,
                     parse_algebra, product, quotient, serialize_algebra,
@@ -20,11 +22,12 @@ from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
 from abelia import congruences
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
-from abelia.core import ZERO_OP, op_table, pointwise, vector_type
+from abelia.core import ZERO_OP, coordinates, op_table, pointwise, vector_type
 from oracles import (brute_homs, brute_subtraction_tables, commutes,
                      congruence_reps_by_filter,
                      depth_closure_tables, equivalence_join,
-                     np_partition_oracle, oracle_product, partitions)
+                     np_partition_oracle, oracle_product, partition_compatible,
+                     partitions)
 
 
 def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlgebra:
@@ -220,14 +223,28 @@ def test_np_matches_partition_oracle_on_generated_pairs():
 
 def test_product_tables_match_definition_on_builtin_pairs():
     algebras = [builtin(name).algebra for name in list_builtins()]
+    # A 17-element binary factor takes pointwise's nested-tuple path, a
+    # 257-element unary one tuple vectors.
+    rng = random.Random(71)
+    unary = FiniteAlgebra("U1", 1, Signature.make((("f", 1),)), {ZERO_OP: (0,), "f": (0,)})
+    algebras += [random_like(rng, builtin("Z2").algebra, 17, "R"),
+                 random_like(rng, unary, 257, "U"), random_like(rng, unary, 3, "U")]
     for A in algebras:
         for B in algebras:
-            if A.signature != B.signature:
+            if A.signature != B.signature or A.size * B.size > 1000:
                 continue
             expect = oracle_product(A, B).tables
             P = product(A, B)
             for opname, _ in A.signature.ops:
                 assert P.tables[opname] == expect[opname], (A.name, B.name, opname)
+
+
+def test_coordinates_are_the_row_major_digits():
+    for radices in [(), (1, 3), (2, 3, 4), (257, 2)]:
+        cols = coordinates(radices)
+        assert [tuple(col) for col in cols] \
+            == list(zip(*itertools.product(*map(range, radices)))), radices
+        assert [type(col) for col in cols] == [vector_type(r) for r in radices]
 
 
 def random_pins(rng: random.Random, X: FiniteAlgebra, Y: FiniteAlgebra) -> dict:
@@ -303,8 +320,8 @@ def test_found_subtractions_equal_validated_ones():
 
 
 def test_quotient_surjection_is_a_homomorphism():
-    # quotient() builds its surjection through the validating constructor;
-    # ``commutes`` checks the map again, independently of hom_violation.
+    # quotient() proves its surjection with hom_violation; ``commutes``
+    # checks the map again, independently of it.
     checked = 0
     for _, A in generated(60, seed=11):
         for theta in all_congruences(A):
@@ -315,6 +332,29 @@ def test_quotient_surjection_is_a_homomorphism():
                        if q(x) == q(y)), theta.rep
             checked += 1
     assert checked >= 300
+
+
+def test_quotient_refuses_exactly_the_incompatible_partitions():
+    accepted = refused = 0
+    for _, A in generated(80, seed=73):
+        for rep in partitions(A.size):
+            theta = Congruence(A.size, rep)
+            if partition_compatible(A, rep):
+                quotient(A, theta)
+                accepted += 1
+                continue
+            with pytest.raises(IncompatiblePartition) as refusal:
+                quotient(A, theta)
+            # The (op, args) named really fails: args and its tuple of
+            # block representatives give outputs in different blocks.
+            opname, args = re.fullmatch(r"partition is not compatible with (\S+) at (.*)",
+                                        str(refusal.value)).groups()
+            args = ast.literal_eval(args)
+            assert rep[A.apply(opname, *args)] \
+                != rep[A.apply(opname, *(rep[a] for a in args))], (A.signature, rep)
+            refused += 1
+    assert accepted + refused == 16 * (1 + 2 + 5 + 15 + 52)
+    assert accepted >= 200 and refused >= 500
 
 
 def test_parse_serialize_round_trip_on_generated_algebras():
