@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import xor
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductTables
+from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductTables, vector_type
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,6 @@ def _close(rows, parent: list[int], pairs) -> tuple[int, ...]:
 
     ``parent`` is a union-find forest whose partition is already closed under
     the operations (the discrete partition, or a congruence's rep table).
-    With ``rows=()`` no row is scanned, and the result is the least
-    equivalence containing ``parent`` and ``pairs``: the join in Eq(A).
     Unions are eager (R. Freese, "Computing congruences efficiently",
     Algebra Universalis 59, 2008): two classes are linked as soon as a pair
     of their members must be identified, and only the pair of roots just
@@ -281,47 +280,80 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     # principal is never covered, since that would take an earlier pair with
     # the same principal; so the dict is what one closure per pair gives.
     gens = _principals(_op_rows(A), n)
-    # Each principal's generating pair and non-trivial links (z, pi[z]).
-    principal = [(x, y, [(z, r) for z, r in enumerate(pi) if r != z])
-                 for pi, (x, y) in gens.items()]
-
-    seen: set[tuple[int, ...]] = {tuple(range(n))}
-    frontier = list(gens)
-    seen.update(frontier)
-    if len(seen) > caps.lattice_count:
-        raise CapExceeded("congruence lattice size", len(seen), caps.lattice_count)
-    # Every congruence is a join of principals, so closing the principal set
-    # under join-with-a-principal reaches the whole lattice.  Con(A) is a
-    # complete sublattice of Eq(A) (Burris & Sankappanavar, A Course in
-    # Universal Algebra, Thm 5.3), so a join of congruences is their join as
-    # equivalences: union-find over the principal's links, scanning no rows.
-    # theta v Cg(x, y) = theta v Cg(rep[x], rep[y]), so each pair of blocks
-    # of theta is joined once.
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            joined_blocks = set()
-            for x, y, links in principal:
-                bx, by = rep[x], rep[y]
-                if bx == by:
-                    continue
-                # the pair of blocks, low then high, as one number
-                blocks = bx * n + by if bx < by else by * n + bx
-                if blocks in joined_blocks:
-                    continue
-                joined_blocks.add(blocks)
-                joined = _close((), list(rep), links)
-                if joined not in seen:
-                    seen.add(joined)
-                    nxt.append(joined)
-                    if len(seen) > caps.lattice_count:
-                        raise CapExceeded("congruence lattice size", len(seen),
-                                          caps.lattice_count)
-        frontier = nxt
-    # Every table here comes from _close, so it is in least-representative
-    # form already.
+    k, vec = len(gens), bytes if vector_type(n) is bytes else _Tuple
+    # bytes.translate takes 256-entry tables, so bytes rep tables are padded.
+    pad, ident = (bytes(256 - n), bytearray(range(256))) if vec is bytes else ((), list(range(n)))
+    X, Y = (vec(pair[c] for pair in gens.values()) for c in (0, 1))
+    # Each principal's non-trivial links z -> pi[z], as two vectors.
+    links = [(vec(z for z in range(n) if pi[z] != z), vec(r for z, r in enumerate(pi) if r != z))
+             for pi in gens]
+    bits = [1 << a for a in range(n)]
+    # Close-by-One (S. O. Kuznetsov, "A fast algorithm for computing all
+    # intersections of objects in a finite semi-lattice", 1993; the idea of
+    # Ganter's NextClosure) reaches each join of principals once.  C(theta) =
+    # {i : theta[X[i]] == theta[Y[i]]} lists the principals below theta.  A
+    # theta reached through pi_{j0-1} tries each j >= j0 outside C(theta) and
+    # keeps psi = theta v pi_j only if no i < j is in C(psi) but not in
+    # C(theta).  So psi is kept once: from the join of the pi_i <= psi, i < j,
+    # for the least j with pi_i <= psi, i <= j, joining to psi.  An i < j with
+    # the same pair of theta-blocks as j fails j before any join; when psi
+    # merges only that pair of blocks, that is the whole test.  A j in
+    # C(theta) or failed so stays failed above theta, since i and j keep
+    # equal block pairs; so psi's pool is what passed this check after j.
+    bottom = vec(range(n))
+    levels = [[] for _ in range(n)] + [[bottom]]  # by block count
+    found, stack = 1, [(bottom, n, range(k))]
+    while stack:
+        theta, blocks, pool = stack.pop()
+        t = theta + pad
+        tx, ty = X.translate(t), Y.translate(t)
+        # Block pair {a, b} as bits[a] ^ bits[b], at its least index; the key
+        # 0 of each i in C(theta) passes no j.
+        keys = list(map(xor, map(bits.__getitem__, tx), map(bits.__getitem__, ty)))
+        first = dict(zip(reversed(keys), range(k - 1, -1, -1)))
+        first[0] = -1
+        passed = [j for j in pool if first[keys[j]] == j]
+        for m, j in enumerate(passed):
+            tab, merged = _join(t, ident, *links[j])
+            if merged > 1 and any(a != b and tab[a] == tab[b] for a, b in zip(tx[:j], ty[:j])):
+                continue
+            found += 1
+            if found > caps.lattice_count:
+                raise CapExceeded("congruence lattice size", found, caps.lattice_count)
+            psi = theta.translate(tab)
+            levels[blocks - merged].append(psi)
+            if m + 1 < len(passed):
+                stack.append((psi, blocks - merged, passed[m + 1:]))
+    # _join roots each block at its least member: least-representative form.
     proved = Congruence._proved
-    return [proved(n, rep) for rep in sorted(seen, key=lambda r: (-len(set(r)), r))]
+    return [proved(n, tuple(rep)) for level in reversed(levels) for rep in sorted(level)]
+
+
+class _Tuple(tuple):
+    """A vector past 256 elements, with bytes' ``translate``."""
+    def translate(self, table):
+        return _Tuple(map(table.__getitem__, self))
+
+
+def _join(t, ident, zs, rs) -> tuple:
+    """theta v pi as a map from theta's block representatives to psi's, and
+    its number of merges: union-find over the blocks t[z], t[r] of pi's
+    links, t theta's padded rep table.  Con(A) is a complete sublattice of
+    Eq(A) (Burris & Sankappanavar, Thm 5.3): this join scans no rows."""
+    tab, linked = ident[:], []
+    for a, b in zip(zs.translate(t), rs.translate(t)):
+        while tab[a] != a:
+            a = tab[a]
+        while tab[b] != b:
+            b = tab[b]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            tab[b] = a
+            linked.append(b)
+    for b in sorted(linked):  # tab[b] < b, so this reads resolved entries
+        tab[b] = tab[tab[b]]
+    return tab, len(linked)
 
 
 def _principals(rows, n: int) -> dict[tuple[int, ...], tuple[int, int]]:

@@ -1,8 +1,8 @@
 import pytest
 
-from abelia import (Caps, CapExceeded, Congruence, FiniteAlgebra,
-                    all_congruences, cg, identity_hom, join, kernel_congruence,
-                    meet, op_table, product, quotient, zero_hom)
+from abelia import (POINTED, Caps, CapExceeded, Congruence, FiniteAlgebra,
+                    Signature, all_congruences, cg, identity_hom, join,
+                    kernel_congruence, meet, op_table, product, quotient, zero_hom)
 from oracles import BELL, congruence_reps_by_filter, partition_compatible
 
 
@@ -240,21 +240,60 @@ def test_principal_congruences_take_one_closure_per_class(monkeypatch):
     assert sum(closes) <= 33
 
 
-def test_lattice_count_cap_stops_the_build_early(cat, monkeypatch):
+def counting_joins(monkeypatch) -> list:
+    """Record every equivalence join of the lattice build, on a fresh cache."""
     import abelia.congruences as congruences
     monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
-    closes = []
-    close = congruences._close
-    monkeypatch.setattr(congruences, "_close",
-                        lambda *args: closes.append(1) or close(*args))
+    joins = []
+    join_ = congruences._join
+    monkeypatch.setattr(congruences, "_join", lambda *args: joins.append(1) or join_(*args))
+    return joins
+
+
+def test_lattice_count_cap_stops_the_build_early(cat, monkeypatch):
+    import abelia.congruences as congruences
+    joins = counting_joins(monkeypatch)
     P = product(cat["P3"], cat["P3"])
     with pytest.raises(CapExceeded) as err:
         all_congruences(P, Caps(lattice_count=100))
     assert err.value.what == "congruence lattice size"
     assert (err.value.needed, err.value.limit) == (101, 100)
-    # the whole lattice (21,147 congruences) takes 175,896 closures
-    assert len(closes) < 1000
+    # the whole lattice (21,147 congruences) takes 21,146 joins
+    assert len(joins) < 1000
     assert not congruences._lattice_cache
+
+
+def test_each_congruence_takes_one_join(cat, monkeypatch):
+    # Every principal of P3 x P3 is an atom of Eq(9), so each join merges
+    # two blocks and the check before the join is the whole canonicity test:
+    # one join per congruence past the discrete one.
+    joins = counting_joins(monkeypatch)
+    lattice = all_congruences(product(cat["P3"], cat["P3"]), Caps(lattice=9))
+    assert len(lattice) == 21_147
+    assert len(joins) == 21_146
+
+
+def test_lattice_count_cap_bounds_the_joins(monkeypatch):
+    # Eq(12) has 4,213,597 members; the refusal at the 2,001st takes at most
+    # one join per congruence found.
+    joins = counting_joins(monkeypatch)
+    P12 = FiniteAlgebra("P12", 12, POINTED, {"zero": (0,)})
+    with pytest.raises(CapExceeded) as err:
+        all_congruences(P12, Caps(lattice_count=2000))
+    assert (err.value.needed, err.value.limit) == (2001, 2000)
+    assert len(joins) <= 2000
+
+
+@pytest.mark.parametrize("n", [257, 258])
+def test_lattice_past_the_byte_table(n):
+    # The unary cycle x -> x + 1 mod n: the congruences are x = y mod d for
+    # each divisor d of n, with rep[x] = x mod d.
+    A = FiniteAlgebra(f"C{n}", n, Signature.make([("s", 1)]),
+                      {"zero": (0,), "s": tuple((x + 1) % n for x in range(n))})
+    lattice = all_congruences(A, Caps(cg=n, lattice=n))
+    divisors = [d for d in range(n, 0, -1) if n % d == 0]
+    assert [t.rep for t in lattice] == [tuple(x % d for x in range(n)) for d in divisors]
+    assert len(lattice) == {257: 2, 258: 8}[n]
 
 
 def test_lattice_count_cap_refuses_a_cached_lattice(cat, monkeypatch):

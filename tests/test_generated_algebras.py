@@ -166,6 +166,28 @@ def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
     assert checked >= 30 and joined >= 20 and eights >= 2
 
 
+def test_lattice_build_keeps_each_congruence_once(monkeypatch):
+    # Close-by-One keeps every congruence once.  A join that merges more
+    # than the two blocks of its generating pair can reach a congruence kept
+    # elsewhere; the full canonicity test then drops it, so such algebras
+    # take more joins than they have congruences past the discrete one.
+    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+    joins = []
+    join_ = congruences._join
+    monkeypatch.setattr(congruences, "_join", lambda *args: joins.append(1) or join_(*args))
+    algebras = [A for _, A in generated(60, seed=2025)]
+    for _, A, B, C in generated_triples(90, seed=37):
+        algebras += [P for P in (product(A, B), product(A, product(B, C))) if P.size <= 8]
+    dropped = 0
+    for A in algebras:
+        joins.clear()
+        reps = [t.rep for t in congruences._build_lattice(A, DEFAULT_CAPS)]
+        assert len(set(reps)) == len(reps), A.name
+        assert len(joins) >= len(reps) - 1
+        dropped += len(joins) > len(reps) - 1
+    assert len(algebras) >= 150 and dropped >= 40
+
+
 def one_close_per_pair(A: FiniteAlgebra) -> dict:
     """Each principal congruence with its first generating pair, one closure
     per pair in lexicographic order."""
