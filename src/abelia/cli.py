@@ -131,10 +131,13 @@ def _condition_report(args, check: str, names, report: ConditionReport) -> int:
 
 
 def _cmd_conditions(args, caps: Caps) -> int:
+    which = args.which
+    if args.params is not None and which not in ("d", "e"):
+        print(f"error: condition {which} takes no --params", file=sys.stderr)
+        return 2
     sources = [_resolve(args, s) for s in args.sources]
     params = ([_resolve(args, s) for s in args.params.split(",")]
               if args.params else None)
-    which = args.which
     if which == "a":
         if len(sources) > 2:
             print("error: condition a takes at most two algebras", file=sys.stderr)

@@ -8,7 +8,6 @@ member of the block of x, so rep[x] <= x and rep[rep[x]] == rep[x].
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import xor
 
@@ -124,14 +123,13 @@ def _table_row(table: tuple[int, ...], n: int, stride: int):
     return row
 
 
-def _close(rows, parent: list[int], pairs) -> tuple[int, ...]:
-    """The least congruence containing the partition ``parent`` and every
-    pair in ``pairs``, as a least-representative table.
+def _close(rows, n: int, pairs) -> tuple[int, ...]:
+    """The least congruence on 0..n-1 containing every pair in ``pairs``, as
+    a least-representative table.
 
-    ``parent`` is a union-find forest whose partition is already closed under
-    the operations (the discrete partition, or a congruence's rep table).
-    Unions are eager (R. Freese, "Computing congruences efficiently",
-    Algebra Universalis 59, 2008): two classes are linked as soon as a pair
+    A union-find forest starts from the discrete partition.  Unions are
+    eager (R. Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008): two classes are linked as soon as a pair
     of their members must be identified, and only the pair of roots just
     linked goes on the worklist.  Every entry is a link, and each link
     removes a block, so the worklist never holds more than n - 1 entries.
@@ -150,6 +148,7 @@ def _close(rows, parent: list[int], pairs) -> tuple[int, ...]:
             x = parent[x]
         return x
 
+    parent = list(range(n))
     linked: list[tuple[int, int]] = []
     for x, y in pairs:
         rx, ry = find(x), find(y)
@@ -186,7 +185,7 @@ def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"generator pair ({x}, {y}) out of range")
-    return Congruence(n, _close(_op_rows(A), list(range(n)), pairs))
+    return Congruence(n, _close(_op_rows(A), n, pairs))
 
 
 def kernel_congruence(h: Homomorphism) -> Congruence:
@@ -217,50 +216,17 @@ def meet(t1: Congruence, t2: Congruence) -> Congruence:
     return Congruence(t1.size, tuple(rep))
 
 
-# The lattices of the most recently used algebras, least recent first.
-# Shifting and centralic on one product revisit its lattice back to back,
-# and 18 holds the lattices of all same-signature builtin pairs within the
-# default lattice cap (18 distinct keys), which surveys revisit.
-LATTICE_CACHE_SIZE = 18
-_lattice_cache: OrderedDict = OrderedDict()
-
-
-def _algebra_key(A: FiniteAlgebra):
-    # A product is keyed by its factors, so that no product table is built.
-    if isinstance(A.tables, ProductTables):
-        return ("x", _algebra_key(A.tables.left), _algebra_key(A.tables.right))
-    return (A.size, A.signature.ops, tuple(sorted(A.tables.items())))
-
-
 def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruence]:
     """Every congruence of A, sorted by block count descending then rep table.
 
     The discrete congruence comes first and the all-pairs congruence last.
     A lattice of more than ``caps.lattice_count`` congruences is refused as
     soon as the build passes that many.
-    The lattices of the last ``LATTICE_CACHE_SIZE`` algebras are kept, since
-    several checks revisit the same product lattice.  A plain algebra is
-    keyed by its operation tables, and a product by its factors' keys, so a
-    lazy product and its read-out tables are cached apart.
     """
     caps = caps or DEFAULT_CAPS
     if A.size > caps.lattice:
         raise CapExceeded("congruence lattice carrier", A.size, caps.lattice)
-    key = _algebra_key(A)
-    got = _lattice_cache.get(key)
-    if got is None:
-        got = _build_lattice(A, caps)
-        _lattice_cache[key] = got
-        if len(_lattice_cache) > LATTICE_CACHE_SIZE:
-            _lattice_cache.popitem(last=False)
-    else:
-        _lattice_cache.move_to_end(key)
-        if len(got) > caps.lattice_count:
-            # Refused as the build refuses: at the first congruence past the
-            # cap, whatever cap the cached lattice was built under.
-            raise CapExceeded("congruence lattice size", caps.lattice_count + 1,
-                              caps.lattice_count)
-    return list(got)
+    return _build_lattice(A, caps)
 
 
 def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
@@ -384,7 +350,7 @@ def _principals(rows, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
             p = x * n + y
             if covered[p]:
                 continue
-            pi = _close(rows, list(range(n)), [(x, y)])
+            pi = _close(rows, n, [(x, y)])
             gens.setdefault(pi, (x, y))
             covered[p] = 1
             stack = [p]

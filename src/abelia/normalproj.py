@@ -193,6 +193,15 @@ def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     return ConditionReport("e", instances, tuple(failures))
 
 
+def _shifting_holds(P: ProductAlgebra, lattice: list[Congruence]) -> bool:
+    """Whether every congruence in the lattice of P = A x B that collapses
+    the slice {(a, 0)} to the point relates each (a, b) to (0, b)."""
+    slice_elems = [P.pair(a, 0) for a in range(P.left.size)]
+    # rep[0] == 0, so the slice collapses to the point iff its reps are 0
+    return all(_np_witness(P, theta) is None for theta in lattice
+               if not any(theta.rep[e] for e in slice_elems))
+
+
 def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
                          caps: Caps | None = None) -> NpVerdict:
     """Decide the pair-level law by quantifying over the whole congruence
@@ -205,33 +214,23 @@ def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
     """
     caps = caps or DEFAULT_CAPS
     P = product(A, B)
-    if P.size > caps.lattice:
-        raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
+    # The lattice build checks the lattice carrier cap and then cg's own
+    # carrier cap before any work, so it goes first and cg cannot refuse.
+    holds = _shifting_holds(P, all_congruences(P, caps))
     theta_star = cg(P, _np_generators(P), caps)
-    slice_elems = [P.pair(a, 0) for a in range(A.size)]
-    holds = True
-    for theta in all_congruences(P, caps):
-        # rep[0] == 0, so the slice collapses to the point iff its reps are 0
-        if not any(theta.rep[e] for e in slice_elems):
-            if _np_witness(P, theta) is not None:
-                holds = False
-                break
     witness = _np_witness(P, theta_star) if not holds else None
     return NpVerdict(holds, theta_star, witness)
 
 
-def _centralic_violations(A: FiniteAlgebra, B: FiniteAlgebra, caps: Caps):
-    """The violations of the centralic law on A x B, in order, as
-    (theta, (x, y, z), lhs, rhs); the generator returns the number of
-    instances it checked."""
-    P = product(A, B)
-    if P.size > caps.lattice:
-        raise CapExceeded("congruence lattice carrier", P.size, caps.lattice)
-    nb = B.size
+def _centralic_violations(P: ProductAlgebra, lattice: list[Congruence]):
+    """The violations of the centralic law over the lattice of P = A x B, in
+    order, as (theta, (x, y, z), lhs, rhs); the generator returns the number
+    of instances it checked."""
+    na, nb = P.left.size, P.right.size
     # (x, 0) and (y, 0) are elements x*nb and y*nb; (x, z) is x*nb + z.
-    slice_pairs = [(x, y, x * nb, y * nb) for x in range(A.size) for y in range(A.size)]
+    slice_pairs = [(x, y, x * nb, y * nb) for x in range(na) for y in range(na)]
     instances = 0
-    for theta in all_congruences(P, caps):
+    for theta in lattice:
         rep = theta.rep
         for x, y, u, v in slice_pairs:
             if rep[u] != rep[v]:
@@ -252,7 +251,8 @@ def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
     violating (theta, x, y, z); lhs and rhs are the block representatives
     of (x, z) and (y, z).  Passing implies the pair-level law.
     """
-    violations = _centralic_violations(A, B, caps or DEFAULT_CAPS)
+    P = product(A, B)
+    violations = _centralic_violations(P, all_congruences(P, caps))
     failures: list[ConditionFailure] = []
     while True:
         try:
@@ -322,12 +322,15 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
             np = check_np_pair(A, B, caps)
             shifting = centralic = None
             if P_size <= caps.lattice:
-                shifting = shifting_shape_check(A, B, caps).holds
+                # One lattice serves both scans.
+                P = product(A, B)
+                lattice = all_congruences(P, caps)
+                shifting = _shifting_holds(P, lattice)
                 if shifting != np.holds:
                     discrepancies.append(
                         f"lattice and generated-congruence checks disagree on ({A.name}, {B.name})")
                 # Only the verdict is kept, so the scan stops at the first violation.
-                centralic = next(_centralic_violations(A, B, caps), None) is None
+                centralic = next(_centralic_violations(P, lattice), None) is None
                 if centralic and not np.holds:
                     discrepancies.append(
                         f"centralic passes but the pair law fails on ({A.name}, {B.name})")

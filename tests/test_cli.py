@@ -130,6 +130,15 @@ def test_condition_a_rejects_three_sources(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("which", ["a", "b", "c"])
+def test_params_refused_outside_d_and_e(capsys, which):
+    code, out, err = run(capsys, "conditions", "@builtin:Z2", "--which", which,
+                         "--params", "@builtin:Z3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: condition {which} takes no --params\n"
+
+
 def test_centralic(capsys):
     code, payload = run_json(capsys, "centralic", "@builtin:P2", "@builtin:P2")
     assert code == 1

@@ -148,8 +148,7 @@ def test_cg_on_products_matches_materialised_tables():
                 assert cg(P, pairs).rep == cg(plain, pairs).rep, (P.name, pairs)
 
 
-def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
-    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
+def test_lattices_of_generated_products_match_partition_filter():
     checked = joined = eights = 0
     for _, A, B, C in generated_triples(90, seed=37):
         for P in (product(A, B), product(A, product(B, C))):
@@ -158,7 +157,6 @@ def test_lattices_of_generated_products_match_partition_filter(monkeypatch):
             oracle = [tuple(r) for r in congruence_reps_by_filter(materialised(P))]
             expect = sorted(oracle, key=lambda r: (-len(set(r)), r))
             for X in (P, materialised(P)):
-                congruences._lattice_cache.clear()
                 assert [t.rep for t in all_congruences(X)] == expect, P.name
             checked += 1
             joined += len(expect) > 5
@@ -171,7 +169,6 @@ def test_lattice_build_keeps_each_congruence_once(monkeypatch):
     # than the two blocks of its generating pair can reach a congruence kept
     # elsewhere; the full canonicity test then drops it, so such algebras
     # take more joins than they have congruences past the discrete one.
-    monkeypatch.setattr(congruences, "_lattice_cache", type(congruences._lattice_cache)())
     joins = []
     join_ = congruences._join
     monkeypatch.setattr(congruences, "_join", lambda *args: joins.append(1) or join_(*args))
@@ -195,7 +192,7 @@ def one_close_per_pair(A: FiniteAlgebra) -> dict:
     gens = {}
     for x in range(n):
         for y in range(x + 1, n):
-            gens.setdefault(congruences._close(rows, list(range(n)), [(x, y)]), (x, y))
+            gens.setdefault(congruences._close(rows, n, [(x, y)]), (x, y))
     return gens
 
 

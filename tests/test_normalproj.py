@@ -255,9 +255,12 @@ def test_shifting_trivial_factor(cat):
     assert shifting_shape_check(cat["Z3"], trivial(cat["Z3"].signature)).holds
 
 
-def test_shifting_cap(cat):
-    with pytest.raises(CapExceeded):
-        shifting_shape_check(cat["Z4"], cat["Z4"])
+@pytest.mark.parametrize("check", [shifting_shape_check, centralic_check])
+def test_shifting_cap(cat, check):
+    with pytest.raises(CapExceeded) as err:
+        check(cat["Z4"], cat["Z4"])
+    assert err.value.what == "congruence lattice carrier"
+    assert (err.value.needed, err.value.limit) == (16, 12)
 
 
 def test_centralic_examples(cat):
