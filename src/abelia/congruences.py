@@ -199,6 +199,8 @@ def kernel_congruence(h: Homomorphism) -> Congruence:
 def join(A: FiniteAlgebra, t1: Congruence, t2: Congruence,
          caps: Caps | None = None) -> Congruence:
     """The least congruence containing both."""
+    if not t1.size == t2.size == A.size:
+        raise ValueError("congruences live on different carriers")
     gens = [(x, t1.rep[x]) for x in range(A.size)] + \
            [(x, t2.rep[x]) for x in range(A.size)]
     return cg(A, gens, caps)

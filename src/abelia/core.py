@@ -589,10 +589,13 @@ def free_algebra(A: FiniteAlgebra, k: int,
     caps = caps or DEFAULT_CAPS
     if k < 0:
         raise ValueError("need a non-negative number of generators")
-    n = A.size
-    positions = n ** k
-    if positions > caps.free_positions:
-        raise CapExceeded("free algebra exponent positions", positions, caps.free_positions)
+    if k > caps.free_positions:
+        raise CapExceeded("free algebra generators", k, caps.free_positions)
+    n, positions = A.size, 1
+    for _ in range(k):
+        positions *= n
+        if positions > caps.free_positions:
+            raise CapExceeded("free algebra exponent positions", positions, caps.free_positions)
 
     # Carrier vectors are interned as ``vector_type(n)``: every key of
     # ``index`` has that one type, so equal vectors meet as equal keys.

@@ -8,6 +8,11 @@ congruence generation.  The remaining checks realize the elementwise
 condition variants (tags b through e) over explicit finite families of
 targets and parameter objects, plus two congruence-shaped implications that
 must cohere with the pair-level verdict.
+
+Every check reads the law on a map or rep table over A x B through two
+helpers: ``_kills_slice`` (the premise t(u, 0) = 0) and ``_moved`` (the
+points where t(u, v) != t(0, v)).  Conditions b to e share one loop,
+``_element_report``, fed with each parameter object's generalized elements.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from .caps import Caps, DEFAULT_CAPS
 from .congruences import Congruence, all_congruences, cg
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
-                   SignatureMismatch, enumerate_homomorphisms, product)
+                   SignatureMismatch, coordinates, enumerate_homomorphisms, product)
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,23 @@ def _np_generators(P: ProductAlgebra) -> list[tuple[int, int]]:
     return [(P.pair(a, 0), 0) for a in range(P.left.size)]
 
 
+def _kills_slice(t, nb: int, us) -> bool:
+    """Whether t(u, 0) = 0 for every u in us, where t is a table over
+    A x B with (u, v) at u * nb + v."""
+    return not any(t[u * nb] for u in us)
+
+
+def _moved(t, nb: int, us, vs) -> list[tuple[int, int, int]]:
+    """The points x where t(us[x], vs[x]) != t(0, vs[x]), in order, as
+    (x, lhs, rhs); t is laid out as in ``_kills_slice``."""
+    return [(x, lhs, t[v]) for x, (u, v) in enumerate(zip(us, vs))
+            if (lhs := t[u * nb + v]) != t[v]]
+
+
 def _np_witness(P: ProductAlgebra, theta: Congruence) -> tuple[int, int] | None:
-    # (a, b) is element a*nb + b and (0, b) is element b.
-    rep, nb = theta.rep, P.right.size
-    for a in range(P.left.size):
-        for b in range(nb):
-            if rep[a * nb + b] != rep[b]:
-                return (a, b)
-    return None
+    nb = P.right.size
+    moved = _moved(theta.rep, nb, *coordinates((P.left.size, nb)))
+    return divmod(moved[0][0], nb) if moved else None
 
 
 def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
@@ -90,6 +104,36 @@ def _guard_hom(source_size: int, target_size: int, caps: Caps):
         raise CapExceeded("homomorphism enumeration target", target_size, caps.hom_tgt)
 
 
+def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
+                    parameter_objects: list[FiniteAlgebra], elements, caps: Caps,
+                    pins: dict[int, int] | None = None) -> ConditionReport:
+    """Conditions b to e on P = A x B: over targets C, parameter objects X
+    and maps f: P -> C, each element (roles, a, b) of ``elements(X)`` whose
+    a f kills on the slice is an instance, and each x where f(a, b) moves
+    is a failure.  ``elements`` checks X; it runs once per X, after the
+    first target's checks."""
+    nb = P.right.size
+    per_object: list[list] = []
+    instances = 0
+    failures: list[ConditionFailure] = []
+    for C in targets:
+        if C.signature != P.left.signature:
+            raise SignatureMismatch(f"{C.name} does not share {P.left.name}'s signature")
+        _guard_hom(P.size, C.size, caps)
+        for i, X in enumerate(parameter_objects):
+            if i == len(per_object):
+                per_object.append(elements(X))
+            for f in enumerate_homomorphisms(P, C, pins):
+                t = f.mapping
+                for roles, a, b in per_object[i]:
+                    if not _kills_slice(t, nb, a):
+                        continue
+                    instances += 1
+                    for x, lhs, rhs in _moved(t, nb, a, b):
+                        failures.append(ConditionFailure((("f", f), *roles), (x,), lhs, rhs))
+    return ConditionReport(tag, instances, tuple(failures))
+
+
 def check_condition_b(X: FiniteAlgebra, targets: list[FiniteAlgebra],
                       caps: Caps | None = None, tag: str = "b") -> ConditionReport:
     """Elementwise diagonal condition on X.
@@ -98,23 +142,10 @@ def check_condition_b(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     f(x, 0) = 0 for all x, assert f(x, x) = f(0, x) for all x.  Tag "c" runs
     the identical elementwise form under its own label.
     """
-    caps = caps or DEFAULT_CAPS
     P = product(X, X)
-    instances = 0
-    failures: list[ConditionFailure] = []
     pins = {P.pair(x, 0): 0 for x in range(X.size)}
-    for C in targets:
-        if C.signature != X.signature:
-            raise SignatureMismatch(f"{C.name} does not share {X.name}'s signature")
-        _guard_hom(P.size, C.size, caps)
-        for f in enumerate_homomorphisms(P, C, pins):
-            instances += 1
-            for x in range(X.size):
-                lhs = f(P.pair(x, x))
-                rhs = f(P.pair(0, x))
-                if lhs != rhs:
-                    failures.append(ConditionFailure((("f", f),), (x,), lhs, rhs))
-    return ConditionReport(tag, instances, tuple(failures))
+    identity = [((), range(X.size), range(X.size))]
+    return _element_report(tag, P, targets, [X], lambda _: identity, caps or DEFAULT_CAPS, pins)
 
 
 def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
@@ -129,33 +160,17 @@ def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
     triple whose premise holds.
     """
     caps = caps or DEFAULT_CAPS
-    P = product(A, B)
-    instances = 0
-    failures: list[ConditionFailure] = []
-    for C in targets:
-        if C.signature != A.signature:
-            raise SignatureMismatch(f"{C.name} does not share {A.name}'s signature")
-        _guard_hom(P.size, C.size, caps)
-        for X in parameter_objects:
-            if X.signature != A.signature:
-                raise SignatureMismatch(f"{X.name} does not share {A.name}'s signature")
-            _guard_hom(X.size, A.size, caps)
-            _guard_hom(X.size, B.size, caps)
-            a_maps = list(enumerate_homomorphisms(X, A))
-            b_maps = list(enumerate_homomorphisms(X, B))
-            for f in enumerate_homomorphisms(P, C):
-                for a in a_maps:
-                    if any(f(P.pair(a(x), 0)) != 0 for x in range(X.size)):
-                        continue
-                    for b in b_maps:
-                        instances += 1
-                        for x in range(X.size):
-                            lhs = f(P.pair(a(x), b(x)))
-                            rhs = f(P.pair(0, b(x)))
-                            if lhs != rhs:
-                                failures.append(ConditionFailure(
-                                    (("f", f), ("a", a), ("b", b)), (x,), lhs, rhs))
-    return ConditionReport("d", instances, tuple(failures))
+
+    def elements(X: FiniteAlgebra) -> list:
+        if X.signature != A.signature:
+            raise SignatureMismatch(f"{X.name} does not share {A.name}'s signature")
+        _guard_hom(X.size, A.size, caps)
+        _guard_hom(X.size, B.size, caps)
+        b_maps = list(enumerate_homomorphisms(X, B))
+        return [((("a", a), ("b", b)), a.mapping, b.mapping)
+                for a in enumerate_homomorphisms(X, A) for b in b_maps]
+
+    return _element_report("d", product(A, B), targets, parameter_objects, elements, caps)
 
 
 def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
@@ -167,39 +182,24 @@ def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     from each parameter object into X.
     """
     caps = caps or DEFAULT_CAPS
-    P = product(X, X)
-    instances = 0
-    failures: list[ConditionFailure] = []
-    for C in targets:
-        if C.signature != X.signature:
-            raise SignatureMismatch(f"{C.name} does not share {X.name}'s signature")
-        _guard_hom(P.size, C.size, caps)
-        for U in parameter_objects:
-            if U.signature != X.signature:
-                raise SignatureMismatch(f"{U.name} does not share {X.name}'s signature")
-            _guard_hom(U.size, X.size, caps)
-            u_maps = list(enumerate_homomorphisms(U, X))
-            for f in enumerate_homomorphisms(P, C):
-                for x in u_maps:
-                    if any(f(P.pair(x(u), 0)) != 0 for u in range(U.size)):
-                        continue
-                    instances += 1
-                    for u in range(U.size):
-                        lhs = f(P.pair(x(u), x(u)))
-                        rhs = f(P.pair(0, x(u)))
-                        if lhs != rhs:
-                            failures.append(ConditionFailure(
-                                (("f", f), ("x", x)), (u,), lhs, rhs))
-    return ConditionReport("e", instances, tuple(failures))
+
+    def elements(U: FiniteAlgebra) -> list:
+        if U.signature != X.signature:
+            raise SignatureMismatch(f"{U.name} does not share {X.name}'s signature")
+        _guard_hom(U.size, X.size, caps)
+        return [((("x", x),), x.mapping, x.mapping) for x in enumerate_homomorphisms(U, X)]
+
+    return _element_report("e", product(X, X), targets, parameter_objects, elements, caps)
 
 
 def _shifting_holds(P: ProductAlgebra, lattice: list[Congruence]) -> bool:
     """Whether every congruence in the lattice of P = A x B that collapses
     the slice {(a, 0)} to the point relates each (a, b) to (0, b)."""
-    slice_elems = [P.pair(a, 0) for a in range(P.left.size)]
+    na, nb = P.left.size, P.right.size
+    us, vs = coordinates((na, nb))
     # rep[0] == 0, so the slice collapses to the point iff its reps are 0
-    return all(_np_witness(P, theta) is None for theta in lattice
-               if not any(theta.rep[e] for e in slice_elems))
+    return not any(_moved(theta.rep, nb, us, vs) for theta in lattice
+                   if _kills_slice(theta.rep, nb, range(na)))
 
 
 def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,

@@ -18,7 +18,7 @@ from .caps import Caps, DEFAULT_CAPS
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
                    _hom_tables, coordinates, enumerate_homomorphisms, hom_violation,
                    pointwise, product)
-from .normalproj import check_np_pair
+from .normalproj import _kills_slice, _moved, check_np_pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,12 +222,10 @@ def verify_proof_construction_1(s: InternalSubtraction,
     sub = pointwise(s.hom.mapping, A.size, 2)
     table = tuple(sub([sub([x, z]), sub([y, z])]))
     f_hom = hom_violation(dom, A, table) is None
-    zero_ok = all(table[dom.pair(z, 0)] == 0 for z in range(A.size))
+    zero_ok = _kills_slice(table, sq.size, range(A.size))
     np = check_np_pair(A, sq, caps)
-    conclusion: bool | None = None
-    if np.holds:
-        conclusion = all(table[dom.pair(z, w)] == table[dom.pair(0, w)]
-                         for z in range(A.size) for w in range(sq.size))
+    conclusion = not _moved(table, sq.size, *coordinates((A.size, sq.size))) \
+        if np.holds else None
     return Construction1Report(f_hom, zero_ok, np.holds, conclusion,
                                verify_group_law(s))
 
@@ -267,16 +265,12 @@ def verify_proof_construction_2(g: Homomorphism, s: InternalSubtraction,
                                    None, None, None, None, None)
     a, a_p = left.structure, right.structure
     X = g.source
-    dom = product(X, X)
-    table = tuple(s_prime(g(a.plus(*dom.split(e))),
-                          a_p.plus(g(dom.split(e)[0]), g(dom.split(e)[1])))
-                  for e in range(dom.size))
-    zero_ok = all(table[dom.pair(x, 0)] == 0 for x in range(X.size))
+    # The table runs over X x X in row-major order on (x, y).
+    xs, ys = coordinates((X.size, X.size))
+    table = tuple(s_prime(g(a.plus(x, y)), a_p.plus(g(x), g(y))) for x, y in zip(xs, ys))
+    zero_ok = _kills_slice(table, X.size, range(X.size))
     np = check_np_pair(X, X, caps)
-    translation: bool | None = None
-    if np.holds:
-        translation = all(table[dom.pair(x, y)] == table[dom.pair(0, y)]
-                          for x in range(X.size) for y in range(X.size))
+    translation = not _moved(table, X.size, xs, ys) if np.holds else None
     addition = all(g(a.plus(x, y)) == a_p.plus(g(x), g(y))
                    for x in range(X.size) for y in range(X.size))
     subtraction = check_homomorphic(g, s, s_prime).holds

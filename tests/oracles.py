@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from abelia.core import FiniteAlgebra
+from abelia.core import FiniteAlgebra, enumerate_homomorphisms, product
 
 # Bell numbers, for sanity checks on partition enumeration.
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -217,3 +217,66 @@ def brute_subtraction_tables(A):
         if all(f[x * n + x] == 0 and f[x * n] == x for x in range(n)):
             out.append(f)
     return out
+
+
+def condition_b_by_loops(X, targets):
+    """check_condition_b's instances and failures by the direct loop over
+    maps f: X x X -> C with f(x, 0) = 0 and points x.  A failure is
+    (map tables, point, lhs, rhs), as are those of the two loops below."""
+    P = product(X, X)
+    instances, failures = 0, []
+    pins = {P.pair(x, 0): 0 for x in range(X.size)}
+    for C in targets:
+        for f in enumerate_homomorphisms(P, C, pins):
+            instances += 1
+            for x in range(X.size):
+                lhs = f(P.pair(x, x))
+                rhs = f(P.pair(0, x))
+                if lhs != rhs:
+                    failures.append(((f.mapping,), (x,), lhs, rhs))
+    return instances, failures
+
+
+def condition_d_by_loops(A, B, targets, parameter_objects):
+    """check_condition_d_instances by the direct loop over targets C,
+    parameter objects X, maps f: A x B -> C, a: X -> A and b: X -> B."""
+    P = product(A, B)
+    instances, failures = 0, []
+    for C in targets:
+        for X in parameter_objects:
+            a_maps = list(enumerate_homomorphisms(X, A))
+            b_maps = list(enumerate_homomorphisms(X, B))
+            for f in enumerate_homomorphisms(P, C):
+                for a in a_maps:
+                    if any(f(P.pair(a(x), 0)) != 0 for x in range(X.size)):
+                        continue
+                    for b in b_maps:
+                        instances += 1
+                        for x in range(X.size):
+                            lhs = f(P.pair(a(x), b(x)))
+                            rhs = f(P.pair(0, b(x)))
+                            if lhs != rhs:
+                                failures.append(((f.mapping, a.mapping, b.mapping),
+                                                 (x,), lhs, rhs))
+    return instances, failures
+
+
+def condition_e_by_loops(X, targets, parameter_objects):
+    """check_condition_e_instances by the direct loop over targets C,
+    parameter objects U, maps f: X x X -> C and x: U -> X."""
+    P = product(X, X)
+    instances, failures = 0, []
+    for C in targets:
+        for U in parameter_objects:
+            u_maps = list(enumerate_homomorphisms(U, X))
+            for f in enumerate_homomorphisms(P, C):
+                for x in u_maps:
+                    if any(f(P.pair(x(u), 0)) != 0 for u in range(U.size)):
+                        continue
+                    instances += 1
+                    for u in range(U.size):
+                        lhs = f(P.pair(x(u), x(u)))
+                        rhs = f(P.pair(0, x(u)))
+                        if lhs != rhs:
+                            failures.append(((f.mapping, x.mapping), (u,), lhs, rhs))
+    return instances, failures

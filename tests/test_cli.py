@@ -340,6 +340,16 @@ def test_free(capsys):
     assert parsed.size == 3
 
 
+def test_free_refuses_a_huge_generator_count_at_once(capsys):
+    code, out, err = run(capsys, "free", "@builtin:Z3", "100000000", "--json")
+    assert code == 3
+    assert err.startswith("unknown:")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["cap"] == {"what": "free algebra generators", "needed": 100000000,
+                              "limit": 16}
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -108,6 +108,14 @@ def test_join_meet_lattice_laws(cat):
         meet(Congruence.discrete(3), Congruence.discrete(4))
 
 
+def test_join_refuses_congruences_on_another_carrier(cat):
+    Z4 = cat["Z4"]
+    for other in (Congruence(6, (0, 1, 0, 1, 0, 1)), Congruence.discrete(2)):
+        for pair in ((other, Congruence.discrete(4)), (Congruence.discrete(4), other)):
+            with pytest.raises(ValueError, match="different carriers"):
+                join(Z4, *pair)
+
+
 def test_quotient_of_join_collapses_both(cat):
     A = cat["V4"]
     t1 = cg(A, [(0, 1)])

@@ -271,10 +271,30 @@ def test_free_algebra_one_generator_group(cat):
 
 
 def test_free_algebra_caps(cat):
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         free_algebra(cat["Z3"], 3, Caps(free_positions=16))
+    assert (err.value.what, err.value.needed, err.value.limit) \
+        == ("free algebra exponent positions", 27, 16)
     with pytest.raises(CapExceeded):
         free_algebra(cat["Z4"], 2, Caps(free_carrier=3))
+
+
+def test_free_algebra_refuses_many_generators_before_any_power(cat):
+    # 3 ** 100_000 is never computed: the power stops at the first past the cap.
+    with pytest.raises(CapExceeded) as err:
+        free_algebra(cat["Z3"], 10 ** 5)
+    assert (err.value.what, err.value.needed, err.value.limit) \
+        == ("free algebra generators", 10 ** 5, 16)
+    # 1 ** k never passes the cap, so k itself is bounded.
+    T = FiniteAlgebra("T", 1, cat["Z3"].signature,
+                      {name: (0,) for name, _ in cat["Z3"].signature.ops})
+    with pytest.raises(CapExceeded) as err:
+        free_algebra(T, 2000)
+    assert (err.value.what, err.value.needed) == ("free algebra generators", 2000)
+    assert free_algebra(T, 16)[0].size == 1
+    with pytest.raises(CapExceeded) as err:
+        free_algebra(cat["Z3"], 5)
+    assert (err.value.what, err.value.needed) == ("free algebra exponent positions", 27)
 
 
 def test_factor_through_split_epi(cat):

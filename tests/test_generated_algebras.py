@@ -14,7 +14,9 @@ import pytest
 from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
                     Homomorphism, IncompatiblePartition, InternalSubtraction,
                     ProductAlgebra, Signature, all_congruences, builtin,
-                    centralic_check, cg, check_np_pair, enumerate_homomorphisms,
+                    centralic_check, cg, check_condition_b,
+                    check_condition_d_instances, check_condition_e_instances,
+                    check_np_pair, enumerate_homomorphisms,
                     find_internal_subtractions, free_algebra,
                     generate_term_ops, hom_violation, join, list_builtins,
                     parse_algebra, product, quotient, serialize_algebra,
@@ -24,7 +26,8 @@ from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
 from abelia.core import ZERO_OP, coordinates, op_table, pointwise, vector_type
 from oracles import (brute_homs, brute_subtraction_tables, commutes,
-                     congruence_reps_by_filter,
+                     condition_b_by_loops, condition_d_by_loops,
+                     condition_e_by_loops, congruence_reps_by_filter,
                      depth_closure_tables, equivalence_join,
                      np_partition_oracle, oracle_product, partition_compatible,
                      partitions)
@@ -436,6 +439,45 @@ def test_centralic_report_matches_direct_loop():
         assert all(f.maps == () for f in report.failures)
         failing += bool(failures)
     assert len(pairs) >= 50 and failing >= 5
+
+
+def condition_inputs():
+    """(X, partners, targets, parameter objects) for the condition checks:
+    every builtin with its same-signature builtins, then generated triples."""
+    builtins = [builtin(name).algebra for name in list_builtins()]
+    for X in builtins:
+        same = [Y for Y in builtins if Y.signature == X.signature]
+        params = (sorted(same, key=lambda Y: (Y.size, Y.name)) * 2)[:2]
+        yield X, [Y for Y in same if X.size * Y.size <= 16], same, params
+    for _, A, B, C in generated_triples(30, seed=71):
+        yield A, [B], [C, A], [B, C]
+
+
+def test_condition_reports_match_direct_loops():
+    caps = Caps(hom_src=16)
+    checked = failing = 0
+
+    def check(report, roles, reference):
+        nonlocal checked, failing
+        instances, failures = reference
+        assert report.instances == instances
+        assert [(tuple(h.mapping for _, h in f.maps), f.point, f.lhs, f.rhs)
+                for f in report.failures] == failures
+        assert all(tuple(role for role, _ in f.maps) == roles for f in report.failures)
+        checked += 1
+        failing += bool(failures)
+
+    for X, partners, targets, params in condition_inputs():
+        for tag in "bc":
+            report = check_condition_b(X, targets, caps, tag=tag)
+            assert report.condition == tag
+            check(report, ("f",), condition_b_by_loops(X, targets))
+        check(check_condition_e_instances(X, targets, params, caps), ("f", "x"),
+              condition_e_by_loops(X, targets, params))
+        for Y in partners:
+            check(check_condition_d_instances(X, Y, targets, params, caps), ("f", "a", "b"),
+                  condition_d_by_loops(X, Y, targets, params))
+    assert checked >= 150 and failing >= 20
 
 
 def row_major_loop(table, n, cols):

@@ -2,8 +2,9 @@
 
 ``golden_cli.json`` holds the exit code, stdout and stderr of every README
 command and of ``free`` (k = 1, 2), ``subtraction-term`` and ``unit-term``
-on every builtin, each in text and ``--json`` mode.  A change that moves any
-byte of that output fails here.  To regenerate the captures after a change
+on every builtin, and of ``conditions`` b, c, d and e on P2 with failing
+instances, each in text and ``--json`` mode.  A change that moves any byte
+of that output fails here.  To regenerate the captures after a change
 that is meant to alter the output:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
@@ -54,8 +55,18 @@ PER_BUILTIN = [argv for name in list_builtins() for argv in (
     ["unit-term", f"@builtin:{name}"],
 )]
 
+# Reports with failures, which pin the order of maps, points and values.
+CONDITIONS = [
+    ["conditions", "@builtin:P2", "--which", "b"],
+    ["conditions", "@builtin:P2", "--which", "c"],
+    ["conditions", "@builtin:P2", "@builtin:P2", "--which", "d",
+     "--params", "@builtin:P2,@builtin:P3"],
+    ["conditions", "@builtin:P2", "--which", "e", "--params", "@builtin:P2,@builtin:P3"],
+]
+
 COMMANDS = [list(argv) for argv in dict.fromkeys(
-    tuple(argv + mode) for argv in README + PER_BUILTIN for mode in ([], ["--json"]))]
+    tuple(argv + mode) for argv in README + PER_BUILTIN + CONDITIONS
+    for mode in ([], ["--json"]))]
 
 
 P4_TEXT = "algebra P4\nsize 4\nzero 0\n"

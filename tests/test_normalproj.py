@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from abelia import (Caps, CapExceeded, FiniteAlgebra, check_condition_b,
+from abelia import (Caps, CapExceeded, FiniteAlgebra, SignatureMismatch, check_condition_b,
                     check_condition_d_instances, check_condition_e_instances,
                     check_np_pair, centralic_check, cross_check_conditions,
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
@@ -192,6 +192,21 @@ def test_condition_d_reverifies(cat):
         assert f(P.pair(a(x), b(x))) == fail.lhs
         assert f(P.pair(0, b(x))) == fail.rhs
         assert fail.lhs != fail.rhs
+
+
+def test_parameter_objects_are_checked_after_the_first_target(cat):
+    Z2, Z3, P2 = cat["Z2"], cat["Z3"], cat["P2"]
+    # With no target no parameter object is read, so a foreign one passes.
+    assert check_condition_d_instances(Z2, Z2, [], [P2]).instances == 0
+    assert check_condition_e_instances(Z2, [], [P2]).instances == 0
+    # The first target's cap check comes before any parameter object's.
+    with pytest.raises(CapExceeded, match="target: needs 3"):
+        check_condition_d_instances(Z2, Z2, [Z3], [P2], Caps(hom_tgt=2))
+    with pytest.raises(CapExceeded, match="target: needs 3"):
+        check_condition_e_instances(Z2, [Z3], [P2], Caps(hom_tgt=2))
+    # A foreign parameter object is refused even after a clean one.
+    with pytest.raises(SignatureMismatch, match="P2 does not share Z2"):
+        check_condition_e_instances(Z2, [Z2, Z3], [Z2, P2])
 
 
 def test_condition_e_examples(cat):
