@@ -79,32 +79,111 @@ class Congruence:
 
 
 def _op_rows(A: FiniteAlgebra) -> list:
+    """Row functions whose maps generate every basic translation of A.
+
+    A row function maps x to a list of outputs, one per map, in a fixed
+    order, so two rows of one function line up entry by entry; entry i of
+    row(x) is the i-th map applied to x.  An equivalence closed under maps
+    is closed under their composites, so it is a congruence once it is
+    closed under these maps (Mal'tsev's lemma, Burris & Sankappanavar,
+    §II.5): ``_close`` and ``_principals`` need nothing more.
+
+    A plain algebra gives its full rows.  A product gives, at each op f and
+    argument position p where both factors are unital (see ``_unital``),
+    its factors' generator rows lifted one side at a time: a basic
+    translation t x u of the product at (f, p) is (t x id) o (id x u), and
+    both of those are basic translations at (f, p), since on each factor
+    the identity is one.  So a link of Z12 x Z12^2 scans 2 * (12 + 144) + 1
+    entries instead of 2 * 1,728 + 1, or 2 * (12 + 12 + 12) + 1 when Z12^2
+    is itself a product.  Where a factor is not unital at (f, p), the
+    product falls back to the outer sum of its factors' full rows.  A
+    homomorphism search from a product must check every argument tuple,
+    not only generators, so it reads ``_full_rows``, never these.
+    """
+    if isinstance(A.tables, ProductTables):
+        return [row for _, gens, _ in _product_rows(A.tables) for row in gens]
+    return _plain_rows(A)
+
+
+def _full_rows(A: FiniteAlgebra) -> list:
     """One row function per non-constant operation and argument position.
 
     row(x) lists the operation's outputs with x in that position, taken over
-    every setting of the other arguments in a fixed order, so two rows of one
-    function line up entry by entry.  A product's row of (a, b) is the outer
-    sum of its factors' rows of a and b; it is never kept, since keeping every
-    row would rebuild the product's tables.
+    every setting of the other arguments in a fixed order.  A product's row
+    of (a, b) is the outer sum of its factors' rows of a and b; it is never
+    kept, since keeping every row would rebuild the product's tables.
     """
     if isinstance(A.tables, ProductTables):
-        nb = A.tables.right.size
+        return [full for full, _, _ in _product_rows(A.tables)]
+    return _plain_rows(A)
 
-        def outer(row_a, row_b):
-            def row(e: int) -> list[int]:
-                a, b = divmod(e, nb)
-                right = row_b(b)
-                return [ua + ub for ua in [u * nb for u in row_a(a)] for ub in right]
-            return row
 
-        return [outer(row_a, row_b) for row_a, row_b in
-                zip(_op_rows(A.tables.left), _op_rows(A.tables.right))]
+def _plain_rows(A: FiniteAlgebra) -> list:
     n = A.size
-    rows = []
-    for opname, arity in A.signature.ops:
-        for p in range(arity):
-            rows.append(_table_row(A.tables[opname], n, n ** (arity - 1 - p)))
-    return rows
+    return [_table_row(A.tables[opname], n, n ** (arity - 1 - p))
+            for opname, arity in A.signature.ops for p in range(arity)]
+
+
+def _product_rows(T: ProductTables) -> list[tuple]:
+    """(full row, generator rows, unital) for each op and argument position
+    of left x right, in the order of ``_plain_rows``.  A product is unital
+    at a position iff both of its factors are."""
+    nb = T.right.size
+
+    def factor(X: FiniteAlgebra) -> list[tuple]:
+        if isinstance(X.tables, ProductTables):
+            return _product_rows(X.tables)
+        return [(row, [row], _unital(row, X.size)) for row in _plain_rows(X)]
+
+    out = []
+    for (full_a, gens_a, unital_a), (full_b, gens_b, unital_b) in \
+            zip(factor(T.left), factor(T.right)):
+        full, unital = _outer(full_a, full_b, nb), unital_a and unital_b
+        if unital:
+            gens = [_lift_left(g, nb) for g in gens_a] + [_lift_right(g, nb) for g in gens_b]
+        else:
+            gens = [full]
+        out.append((full, gens, unital))
+    return out
+
+
+def _unital(row, n: int) -> bool:
+    """Whether one setting of the other arguments makes the op the identity
+    in this row's position: an entry index i with row(x)[i] == x for every
+    x.  One scan of the op's table; ``_product_rows`` asks it only of the
+    plain factors of a product."""
+    hits = [i for i, v in enumerate(row(0)) if v == 0]
+    for x in range(1, n):
+        if not hits:
+            break
+        r = row(x)
+        hits = [i for i in hits if r[i] == x]
+    return bool(hits)
+
+
+def _outer(row_a, row_b, nb: int):
+    def row(e: int) -> list[int]:
+        a, b = divmod(e, nb)
+        right = row_b(b)
+        return [ua + ub for ua in [u * nb for u in row_a(a)] for ub in right]
+    return row
+
+
+def _lift_left(row_a, nb: int):
+    # t x id: (a, b) -> (t(a), b) for each map t of row_a.
+    def row(e: int) -> list[int]:
+        a, b = divmod(e, nb)
+        return [u * nb + b for u in row_a(a)]
+    return row
+
+
+def _lift_right(row_b, nb: int):
+    # id x u: (a, b) -> (a, u(b)) for each map u of row_b.
+    def row(e: int) -> list[int]:
+        b = e % nb
+        base = e - b
+        return [base + v for v in row_b(b)]
+    return row
 
 
 def _table_row(table: tuple[int, ...], n: int, stride: int):
@@ -137,6 +216,11 @@ def _close(rows, n: int, pairs) -> tuple[int, ...]:
     row(s)[i] of every row.  This suffices: the result is the equivalence
     closure of the links made, and blockwise-equal argument tuples are
     joined by a chain of single-coordinate substitutions across links.
+    The proof uses only that every link is closed under each row's maps, so
+    the rows need only generate the basic translations under composition:
+    a product's rows from ``_op_rows`` lift its factors' generators one
+    side at a time, t x u = (t x id) o (id x u), and are full outer-sum rows
+    only at positions where a factor is not unital.
     The larger root always goes under the smaller, so every root is the
     least member of its block and parent[x] <= x throughout; one ascending
     pass then resolves every root.
@@ -247,6 +331,11 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     # translations, so the walk finds all of them.  The first pair of each
     # principal is never covered, since that would take an earlier pair with
     # the same principal; so the dict is what one closure per pair gives.
+    # On a product the edges are the generators of ``_op_rows``, t x id and
+    # id x u, or full outer-sum rows where a factor is not unital.  Every
+    # basic translation is a composite of generators, so a pair reaches
+    # along generator edges every pair it reached along translation edges,
+    # and each step stays a translation: the walk covers as before.
     gens = _principals(_op_rows(A), n)
     k, vec = len(gens), bytes if vector_type(n) is bytes else _Tuple
     # bytes.translate takes 256-entry tables, so bytes rep tables are padded.
@@ -330,9 +419,10 @@ def _principals(rows, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     those first pairs: what one ``_close`` per pair gives, from one closure
     per class of pairs with a common principal (see ``_build_lattice``).
 
-    The pair graph has an edge from (x, y) to (f(x), f(y)) for every basic
-    translation f: the aligned entries of row(x) and row(y) of one row
-    function.  Building its predecessor lists scans each pair's rows once.
+    The pair graph has an edge from (x, y) to (f(x), f(y)) for every map f
+    of the rows, which generate the basic translations (``_op_rows``): the
+    aligned entries of row(x) and row(y) of one row function.  Building its
+    predecessor lists scans each pair's rows once.
     """
     # Pair (x, y), x < y, is the number x * n + y; pred[q] lists each pair
     # with an edge to q once.

@@ -151,6 +151,77 @@ def test_cg_on_products_matches_materialised_tables():
                 assert cg(P, pairs).rep == cg(plain, pairs).rep, (P.name, pairs)
 
 
+MAGMA = Signature.make((("s", 2),))
+
+
+def unital_magma(rng: random.Random, size: int, both: bool) -> FiniteAlgebra:
+    """A random magma with s(x, 0) = x, and s(0, y) = y too when ``both``:
+    B2's signature, unital at position 0, and at 1 when ``both``."""
+    def s(x, y):
+        if y == 0:
+            return x
+        return y if both and x == 0 else rng.randrange(size)
+    return FiniteAlgebra(f"M{size}", size, MAGMA, {ZERO_OP: (0,), "s": op_table(size, 2, s)})
+
+
+def group_expansion(rng: random.Random, size: int, arity: int) -> FiniteAlgebra:
+    """Z_size with one more random op g of the given arity that fixes 0:
+    unital in add, in neg only on Z1 and Z2, rarely in g."""
+    Z = _cyclic(size, f"Z{size}")
+    g = op_table(size, arity, lambda *xs: rng.randrange(size) if any(xs) else 0)
+    return FiniteAlgebra(f"Zg{size}", size, Signature(Z.signature.ops + (("g", arity),)),
+                         {**Z.tables, "g": g})
+
+
+def unital_triples(count: int, seed: int):
+    """(A, B, C) of one signature whose ops are often unital at some
+    argument position: unital magmas, B2, non-unital magmas and expansions
+    of cyclic groups, each of size 1 to 3."""
+    rng = random.Random(seed)
+    B2 = builtin("B2").algebra
+    for i in range(count):
+        if i % 2:
+            arity = rng.choice((1, 2))
+            yield rng, *(group_expansion(rng, rng.randint(1, 3), arity) for _ in range(3))
+            continue
+        pool = [unital_magma(rng, rng.randint(1, 3), rng.random() < 0.5) for _ in range(3)]
+        pool += [B2, random_like(rng, B2, rng.randint(2, 3), "N")]
+        yield rng, *(rng.choice(pool) for _ in range(3))
+
+
+def unital_flags(X: FiniteAlgebra) -> list[bool]:
+    """Per op and argument position, whether X is unital there."""
+    if isinstance(X, ProductAlgebra):
+        return [u for _, _, u in congruences._product_rows(X.tables)]
+    return [congruences._unital(row, X.size) for row in congruences._plain_rows(X)]
+
+
+def test_cg_on_products_of_unital_factors_matches_materialised_tables():
+    # On a product whose factors are both unital at an op and position,
+    # _op_rows returns the factors' generator rows lifted one side at a
+    # time; elsewhere it returns the full outer-sum row, which _full_rows
+    # always returns.  Both must give the closures and lattices of the
+    # materialised tables.
+    lifted = mixed = lattices = 0
+    for rng, A, B, C in unital_triples(80, seed=83):
+        for P in (product(A, B), product(A, product(B, C))):
+            plain = materialised(P)
+            full = congruences._full_rows(P)
+            for got, expect in zip(full, congruences._op_rows(plain), strict=True):
+                assert [got(e) for e in P.elements()] == [expect(e) for e in P.elements()]
+            lifted += any(unital_flags(P))
+            mixed += any(a != b for a, b in zip(unital_flags(P.left), unital_flags(P.right)))
+            n = P.size
+            for _ in range(4):
+                pairs = [(rng.randrange(n), rng.randrange(n))
+                         for _ in range(rng.randint(0, 3))]
+                assert cg(P, pairs).rep == cg(plain, pairs).rep, (P.name, pairs)
+            if n <= 12:
+                assert all_congruences(P) == all_congruences(plain), P.name
+                lattices += 1
+    assert lifted >= 100 and mixed >= 80 and lattices >= 120
+
+
 def test_lattices_of_generated_products_match_partition_filter():
     checked = joined = eights = 0
     for _, A, B, C in generated_triples(90, seed=37):
