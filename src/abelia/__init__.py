@@ -14,7 +14,7 @@ from .core import (AbeliaError, CapExceeded, FiniteAlgebra, Homomorphism,
                    factor_through_split_epi, free_algebra, hom_violation,
                    identity_hom, is_homomorphism, op_table, pairing_hom,
                    parse_algebra, product, quotient, serialize_algebra,
-                   zero_hom)
+                   subpower, zero_hom)
 from .normalproj import (ConditionFailure, ConditionReport, CrossCheckReport,
                          NpVerdict, PairCrossCheck, centralic_check,
                          check_condition_b, check_condition_d_instances,
@@ -51,6 +51,6 @@ __all__ = [
     "internal_subtraction_tables", "is_homomorphism",
     "join", "kernel_congruence", "list_builtins", "meet", "op_table",
     "pairing_hom", "parse_algebra", "product", "quotient",
-    "serialize_algebra", "shifting_shape_check", "verify_group_law",
+    "serialize_algebra", "shifting_shape_check", "subpower", "verify_group_law",
     "verify_proof_construction_1", "verify_proof_construction_2", "zero_hom",
 ]

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import FiniteAlgebra, ZERO_OP, coordinates, pointwise, vector_type
+from .core import (FiniteAlgebra, ZERO_OP, concat, coordinates, pointwise, split,
+                   vector_type)
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
     max_op_arity = max(k for _, k in A.signature.ops)
     ops = [(name, k, pointwise(A.tables[name], n, k))
            for name, k in sorted(A.signature.ops) if k >= 1]
+    width = n ** arity
     size = 1
     while True:
         size += 1
@@ -141,16 +143,27 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
             for sizes in itertools.product(range(1, size), repeat=k):
                 if 1 + sum(sizes) != size:
                     continue
-                pools = [levels.get(s, ()) for s in sizes]
-                for parts in itertools.product(*pools):
-                    vec = apply(parts)
-                    if vec not in by_table:
-                        term = Term(opname, tuple(by_table[p].witness for p in parts))
-                        hit = admit(term, size, vec)
-                        if hit:
-                            return order, True, hit
-                    if len(order) >= cap:
-                        return order, False, None
+                *pools, last = [levels.get(s, ()) for s in sizes]
+                if not last:
+                    continue
+                # One ``pointwise`` call per choice of the other parts: each
+                # repeated once per table of the last pool, and that pool
+                # joined end to end; the output is cut into the images.
+                run = concat(last, n)
+                for prefix in itertools.product(*pools):
+                    out = apply([p * len(last) for p in prefix] + [run])
+                    batch = split(out, width, n)
+                    if len(order) < cap and all(map(by_table.__contains__, batch)):
+                        continue
+                    for tail, vec in zip(last, batch):
+                        if vec not in by_table:
+                            parts = prefix + (tail,)
+                            term = Term(opname, tuple(by_table[p].witness for p in parts))
+                            hit = admit(term, size, vec)
+                            if hit:
+                                return order, True, hit
+                        if len(order) >= cap:
+                            return order, False, None
 
 
 def generate_term_ops(A: FiniteAlgebra, arity: int,

@@ -1,5 +1,5 @@
 """Finite pointed algebras: carriers, operation tables, homomorphisms,
-products, quotients, free algebras, and split-epi factorization.
+products, quotients, subpowers and free algebras, and split-epi factorization.
 
 Elements of an algebra of size n are the integers 0..n-1, and 0 is always
 the distinguished point (the value of the nullary operation ``zero``).
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,6 +127,22 @@ def vector_type(n: int) -> type:
     return bytes if n <= 256 else tuple
 
 
+def concat(vectors, n: int):
+    """The given vectors of ``vector_type(n)`` joined end to end."""
+    if n <= 256:
+        return b"".join(vectors)
+    return tuple(itertools.chain.from_iterable(vectors))
+
+
+def split(vec, width: int, n: int):
+    """``vec`` of ``vector_type(n)`` cut into vectors of the given width,
+    the inverse of ``concat``.  Bytes are cut by one ``struct`` format of
+    ``len(vec) // width`` fields, several times faster than slicing."""
+    if n <= 256:
+        return struct.unpack(f"{width}s" * (len(vec) // width), vec)
+    return [vec[r:r + width] for r in range(0, len(vec), width)]
+
+
 def coordinates(radices: tuple[int, ...]) -> tuple:
     """The digit columns of the row-major order on range(r0) x range(r1) x
     ..., last digit fastest: entry t of column j is digit j of t, and
@@ -150,6 +167,12 @@ def pointwise(table: tuple[int, ...], n: int, arity: int):
     r, at most ``n ** arity - 1 <= 255``, so no digit carries into the next,
     and one ``bytes.translate`` maps every index to its value.  Larger
     tables go through nested tuples and a chain of ``map`` calls.
+
+    Entry r depends on row r alone, so on every path columns that are each
+    c blocks joined end to end (``concat``), block i of every column of one
+    length, give the c blocks' outputs joined end to end.  The subpower and
+    clone closures rely on this to evaluate a whole run of last arguments
+    in one call.
     """
     if n ** arity <= 256:
         lookup = bytes(table) + bytes(256 - len(table))
@@ -596,11 +619,32 @@ def free_algebra(A: FiniteAlgebra, k: int,
         positions *= n
         if positions > caps.free_positions:
             raise CapExceeded("free algebra exponent positions", positions, caps.free_positions)
+    F, gen_ids, _ = subpower(A, coordinates((n,) * k), caps, name=f"Free({A.name},{k})")
+    return F, gen_ids
 
+
+def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
+             caps: Caps | None = None, *,
+             name: str | None = None) -> tuple[FiniteAlgebra, list[int], list]:
+    """The subalgebra of A**m generated by the given vectors of length m
+    (m = 1 when there are none: then it is generated by A's constants).
+
+    Returns the algebra, the indices of the generators and the elements as
+    vectors of ``vector_type(A.size)``.  Element 0 is the constant-zero
+    vector; then come the generators, the non-zero constants and the new
+    elements of each closure round in the order they are met.
+    ``caps.free_carrier`` bounds the carrier.
+    """
+    caps = caps or DEFAULT_CAPS
+    n = A.size
     # Carrier vectors are interned as ``vector_type(n)``: every key of
     # ``index`` has that one type, so equal vectors meet as equal keys.
     vector = vector_type(n)
-    elems: list = [vector((0,) * positions)]
+    gens = [vector(g) for g in generators]
+    m = len(gens[0]) if gens else 1
+    if m < 1 or any(len(g) != m or not all(0 <= x < n for x in g) for g in gens):
+        raise ValueError(f"generators must be non-empty vectors of one length over range({n})")
+    elems: list = [vector((0,) * m)]
     index: dict = {elems[0]: 0}
 
     def intern(vec) -> int:
@@ -613,31 +657,40 @@ def free_algebra(A: FiniteAlgebra, k: int,
         elems.append(vec)
         return index[vec]
 
-    gen_ids = [intern(col) for col in coordinates((n,) * k)]
+    gen_ids = [intern(g) for g in gens]
     for opname, arity in A.signature.ops:
         if arity == 0 and opname != ZERO_OP:
-            intern(vector(A.tables[opname] * positions))
+            intern(vector(A.tables[opname] * m))
 
     # Round r applies every op to the argument tuples over the first
     # ``known`` elements that it has not met before, so each tuple of the
-    # final carrier is evaluated exactly once; ``images`` keeps the result.
-    # Every op of a round reads the same ``row``: an earlier op may already
-    # have grown ``elems``, and the column tuples must stay aligned with the
-    # index tuples over ``range(known)``.
-    images: dict[str, dict[tuple[int, ...], int]] = {
-        name: {} for name, arity in A.signature.ops if arity >= 1}
-    ops = [(arity, pointwise(A.tables[name], n, arity), images[name])
-           for name, arity in A.signature.ops if arity >= 1]
+    # final carrier is evaluated exactly once.  The last argument goes in
+    # runs: one ``pointwise`` call takes the other arguments, each repeated
+    # once per element of the run ``elems[lo:known]``, and that run joined
+    # end to end, and its output is cut into the run's images.  The run
+    # starts at ``prev`` unless some other argument is new; both runs are
+    # joined at the start of the round, before any op grows ``elems``.  The
+    # ids found for ``prefix + (j,)``, j = 0, 1, ..., extend
+    # ``images[op][prefix]``, so an op's table is the chain of its prefixes'
+    # lists.
+    images: dict[str, dict[tuple[int, ...], list[int]]] = {
+        opname: {} for opname, arity in A.signature.ops if arity >= 1}
+    ops = [(arity, pointwise(A.tables[opname], n, arity), images[opname])
+           for opname, arity in A.signature.ops if arity >= 1]
     prev = 0
     while True:
         known = len(elems)
-        row = elems[:known]
-        for arity, apply, seen in ops:
-            for combo, cols in zip(itertools.product(range(known), repeat=arity),
-                                   itertools.product(row, repeat=arity)):
-                if max(combo) < prev:
-                    continue
-                seen[combo] = intern(apply(cols))
+        runs = {lo: concat(elems[lo:known], n) for lo in {0, prev}}
+        for arity, apply, lists in ops:
+            for prefix in itertools.product(range(known), repeat=arity - 1):
+                lo = prev if max(prefix, default=-1) < prev else 0
+                count = known - lo
+                out = apply([elems[i] * count for i in prefix] + [runs[lo]])
+                batch = split(out, m, n)
+                ids = list(map(index.get, batch))
+                if None in ids:
+                    ids = [intern(vec) for vec in batch]
+                lists.setdefault(prefix, []).extend(ids)
         if len(elems) == known:
             break
         prev = known
@@ -646,12 +699,13 @@ def free_algebra(A: FiniteAlgebra, k: int,
     tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
         if arity == 0:
-            tables[opname] = (index[vector(A.tables[opname] * positions)],)
+            tables[opname] = (index[vector(A.tables[opname] * m)],)
         else:
-            tables[opname] = tuple(map(images[opname].__getitem__,
-                                       itertools.product(range(size), repeat=arity)))
-    F = FiniteAlgebra(f"Free({A.name},{k})", size, A.signature, tables)
-    return F, gen_ids
+            rows = map(images[opname].__getitem__,
+                       itertools.product(range(size), repeat=arity - 1))
+            tables[opname] = tuple(itertools.chain.from_iterable(rows))
+    S = FiniteAlgebra(name or f"Sub({A.name}^{m})", size, A.signature, tables)
+    return S, gen_ids, elems
 
 
 def factor_through_split_epi(f: Homomorphism, r: Homomorphism,

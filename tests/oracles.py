@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 
-from abelia.core import FiniteAlgebra, enumerate_homomorphisms, product
+from abelia.caps import DEFAULT_CAPS
+from abelia.core import (ZERO_OP, CapExceeded, FiniteAlgebra, coordinates,
+                         enumerate_homomorphisms, pointwise, product,
+                         vector_type)
 
 # Bell numbers, for sanity checks on partition enumeration.
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -205,6 +208,61 @@ def depth_closure_tables(A, arity, depth=6):
                                 for r in range(len(rows))))
         current = grown
     return current
+
+
+def free_algebra_by_rounds(A, k, caps=None):
+    """free_algebra's carrier by the round loop with one pointwise call per
+    argument tuple: (element vectors, generator ids, tables, round starts).
+    Round r applies every op to the tuples over ``range(starts[r])`` with
+    an argument at or past ``starts[r - 1]``; the last start is the size.
+    Refuses with free_algebra's CapExceeded past ``free_carrier``."""
+    caps = caps or DEFAULT_CAPS
+    n, positions = A.size, A.size ** k
+    vector = vector_type(n)
+    elems = [vector((0,) * positions)]
+    index = {elems[0]: 0}
+
+    def intern(vec):
+        got = index.get(vec)
+        if got is not None:
+            return got
+        if len(elems) >= caps.free_carrier:
+            raise CapExceeded("free algebra carrier", len(elems) + 1, caps.free_carrier)
+        index[vec] = len(elems)
+        elems.append(vec)
+        return index[vec]
+
+    gen_ids = [intern(col) for col in coordinates((n,) * k)]
+    for opname, arity in A.signature.ops:
+        if arity == 0 and opname != ZERO_OP:
+            intern(vector(A.tables[opname] * positions))
+
+    images = {name: {} for name, arity in A.signature.ops if arity >= 1}
+    starts, prev = [], 0
+    while True:
+        known = len(elems)
+        starts.append(known)
+        row = elems[:known]
+        for name, arity in A.signature.ops:
+            if arity == 0:
+                continue
+            apply = pointwise(A.tables[name], n, arity)
+            for combo, cols in zip(itertools.product(range(known), repeat=arity),
+                                   itertools.product(row, repeat=arity)):
+                if max(combo) >= prev:
+                    images[name][combo] = intern(apply(cols))
+        if len(elems) == known:
+            break
+        prev = known
+
+    tables = {}
+    for name, arity in A.signature.ops:
+        if arity == 0:
+            tables[name] = (index[vector(A.tables[name] * positions)],)
+        else:
+            tables[name] = tuple(map(images[name].__getitem__,
+                                     itertools.product(range(known), repeat=arity)))
+    return elems, gen_ids, tables, starts
 
 
 def brute_subtraction_tables(A):

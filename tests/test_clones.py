@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from abelia import (Caps, Term, evaluate_term, find_subtraction_term,
-                    find_unit_term, generate_term_ops)
+from abelia import (Caps, FiniteAlgebra, Signature, Term, evaluate_term,
+                    find_subtraction_term, find_unit_term, generate_term_ops)
+from abelia.core import ZERO_OP
 from oracles import depth_closure_tables
 
 
@@ -129,3 +130,27 @@ def test_zero_only_closure(cat):
     ops = generate_term_ops(cat["P3"], 2)
     assert ops.complete
     assert sorted(str(op.witness) for op in ops.term_ops) == ["0", "x1", "x2"]
+
+
+def test_capped_closure_stops_at_the_same_table(cat):
+    # A capped run returns the first tables of the full run: it stops right
+    # after the evaluation that reaches the cap.  When the leaves already
+    # reach it, the first composition, the first op of least arity applied
+    # to x1 only, is still evaluated and kept if new.  s(x, y) = x makes it
+    # s(x1, x1) = x1, which is old.
+    left = FiniteAlgebra("L2", 2, Signature(((ZERO_OP, 0), ("s", 2))),
+                         {ZERO_OP: (0,), "s": (0, 0, 1, 1)})
+    for A in [*cat.values(), left]:
+        if not any(arity for _, arity in A.signature.ops):
+            continue
+        arity, name = min((arity, name) for name, arity in A.signature.ops if arity)
+        for k in (1, 2):
+            full = generate_term_ops(A, k).term_ops
+            leaves = {op.table for op in full if op.witness.size == 1}
+            first = evaluate_term(A, Term(name, (Term("x1"),) * arity), k)
+            reached = len(leaves) + (first not in leaves)
+            for cap in range(len(full) + 2):
+                got = generate_term_ops(A, k, Caps(clone_tables=cap))
+                expect = full[:cap] if cap > len(leaves) else full[:reached]
+                assert got.term_ops == expect, (A.name, k, cap)
+                assert got.complete == (cap > len(full)), (A.name, k, cap)

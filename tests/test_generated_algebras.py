@@ -1,8 +1,8 @@
 """Congruence generation, joins, lattices, products, quotients, the
 pair-level law and its lattice-scan and centralic variants, homomorphism
-enumeration, the file format, free algebras and the clone closure checked
-against the oracles on seeded random pointed algebras, beyond the builtin
-fixtures."""
+enumeration, the file format, free algebras, subpowers and the clone
+closure checked against the oracles on seeded random pointed algebras,
+beyond the builtin fixtures."""
 
 import ast
 import itertools
@@ -17,18 +17,21 @@ from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
                     centralic_check, cg, check_condition_b,
                     check_condition_d_instances, check_condition_e_instances,
                     check_np_pair, enumerate_homomorphisms,
-                    find_internal_subtractions, free_algebra,
-                    generate_term_ops, hom_violation, join, list_builtins,
-                    parse_algebra, product, quotient, serialize_algebra,
+                    find_internal_subtractions, find_subtraction_term,
+                    find_unit_term, free_algebra, generate_term_ops,
+                    hom_violation, join, list_builtins, parse_algebra,
+                    product, quotient, serialize_algebra,
                     shifting_shape_check)
 from abelia import congruences
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
-from abelia.core import ZERO_OP, coordinates, op_table, pointwise, vector_type
+from abelia.core import (ZERO_OP, concat, coordinates, op_table, pointwise,
+                         split, subpower, vector_type)
 from oracles import (brute_homs, brute_subtraction_tables, commutes,
                      condition_b_by_loops, condition_d_by_loops,
                      condition_e_by_loops, congruence_reps_by_filter,
                      depth_closure_tables, equivalence_join,
+                     free_algebra_by_rounds,
                      np_partition_oracle, oracle_product, partition_compatible,
                      partitions)
 
@@ -605,11 +608,14 @@ def assert_free_is_the_clone_part(A, k, F, gens, ops):
                 (A.signature, k, name)
 
 
+# f grows the carrier before g runs in the same closure round, so g's
+# argument tuples must still pair with the columns of that round's start.
+UNARY_BEFORE_BINARY = FiniteAlgebra("T2", 2, Signature(((ZERO_OP, 0), ("f", 1), ("g", 2))),
+                                    {ZERO_OP: (0,), "f": (1, 0), "g": (0, 0, 1, 1)})
+
+
 def test_free_algebra_tables_with_a_unary_op_before_a_binary_one():
-    # f grows the carrier before g runs in the same closure round, so g's
-    # argument tuples must still pair with the columns of that round's start.
-    A = FiniteAlgebra("T2", 2, Signature(((ZERO_OP, 0), ("f", 1), ("g", 2))),
-                      {ZERO_OP: (0,), "f": (1, 0), "g": (0, 0, 1, 1)})
+    A = UNARY_BEFORE_BINARY
     F, gens = free_algebra(A, 1)
     ops = generate_term_ops(A, 1)
     assert F.size == len(ops.term_ops) == 4
@@ -647,3 +653,122 @@ def test_free_algebra_and_clone_agree_past_the_byte_table():
     assert {op.table for op in ops.term_ops} \
         == {tuple(a * x % 17 for x in range(17)) for a in range(17)}
     assert_free_is_the_clone_part(Z17, 1, F, [g], ops)
+
+
+def test_free_algebra_and_clone_agree_on_tuple_vectors():
+    # Past 256 elements vectors are tuples.  f(x) = 16x + 1 on 257 elements
+    # has order 4, and so has the orbit 0, 1, 17, 16 of 0, so the clone's
+    # unary part has 4 + 4 tables.
+    A = FiniteAlgebra("A257", 257, Signature(((ZERO_OP, 0), ("f", 1))),
+                      {ZERO_OP: (0,), "f": op_table(257, 1, lambda x: (16 * x + 1) % 257)})
+    assert vector_type(A.size) is tuple
+    F, (g,) = free_algebra(A, 1, Caps(free_positions=257))
+    ops = generate_term_ops(A, 1)
+    assert ops.complete and F.size == len(ops.term_ops) == 8
+    depth = max(term_depth(op.witness) for op in ops.term_ops)
+    assert {op.table for op in ops.term_ops} == depth_closure_tables(A, 1, depth)
+    assert_free_is_the_clone_part(A, 1, F, [g], ops)
+
+
+def test_pointwise_maps_joined_columns_to_joined_outputs():
+    # The byte-folding path at (6, 2), nested maps over bytes at (17, 2) and
+    # over tuples at (257, 1).
+    rng = random.Random(71)
+    for n, arity in ((6, 2), (17, 2), (257, 1)):
+        table = tuple(rng.randrange(n) for _ in range(n ** arity))
+        vector = vector_type(n)
+        apply = pointwise(table, n, arity)
+        blocks = [[vector(rng.randrange(n) for _ in range(length)) for _ in range(arity)]
+                  for length in (1, 5, 216)]
+        joined = [concat(cols, n) for cols in zip(*blocks)]
+        assert apply(joined) == concat([apply(cols) for cols in blocks], n), (n, arity)
+        repeated = apply([col * 3 for col in blocks[-1]])
+        assert list(split(repeated, 216, n)) == [apply(blocks[-1])] * 3, (n, arity)
+
+
+def round_loop_cases():
+    """(A, k, caps): generated algebras at k = 1 and 2, Z6 at k = 3, and
+    one signature each with a unary op before a binary one, with a ternary
+    op and with a non-zero constant."""
+    small = Caps(free_positions=25, free_carrier=40)
+    for _, A in generated(40, seed=67):
+        yield A, 1, small
+        yield A, 2, small
+    yield _cyclic(6, "Z6"), 3, Caps(free_positions=216)
+    yield UNARY_BEFORE_BINARY, 1, DEFAULT_CAPS
+    ternary = FiniteAlgebra("M3", 3, Signature(((ZERO_OP, 0), ("m", 3))), {
+        ZERO_OP: (0,), "m": op_table(3, 3, lambda x, y, z: (x * y + z) % 3)})
+    yield ternary, 1, DEFAULT_CAPS
+    yield ternary, 2, small
+    Z3 = _cyclic(3, "Z3")
+    pointed = FiniteAlgebra("Z3c", 3, Signature(Z3.signature.ops + (("c", 0),)),
+                            {**Z3.tables, "c": (1,)})
+    yield pointed, 1, DEFAULT_CAPS
+    yield pointed, 2, DEFAULT_CAPS
+
+
+def refusal(build, A, k, caps):
+    with pytest.raises(CapExceeded) as info:
+        build(A, k, caps)
+    return info.value.what, info.value.needed, info.value.limit
+
+
+def test_free_algebra_matches_the_round_loop():
+    compared = cut = 0
+    for A, k, caps in round_loop_cases():
+        try:
+            elems, gens, tables, starts = free_algebra_by_rounds(A, k, caps)
+        except CapExceeded:
+            assert refusal(free_algebra, A, k, caps) \
+                == refusal(free_algebra_by_rounds, A, k, caps), (A.signature, k)
+            continue
+        F, gen_ids = free_algebra(A, k, caps)
+        S, sub_ids, vectors = subpower(A, coordinates((A.size,) * k), caps)
+        assert vectors == elems and gen_ids == sub_ids == gens, (A.signature, k)
+        assert dict(F.tables) == dict(S.tables) == tables, (A.signature, k)
+        compared += 1
+        # free_carrier cuts the first, a middle and the last growing round.
+        rounds = len(starts) - 1
+        middle = (rounds - 1) // 2
+        for limit in {starts[0], (starts[middle] + starts[middle + 1]) // 2, starts[-1] - 1}:
+            if rounds and limit >= starts[0]:
+                less = Caps(free_positions=caps.free_positions, free_carrier=limit)
+                assert refusal(free_algebra, A, k, less) \
+                    == refusal(free_algebra_by_rounds, A, k, less), (A.signature, k, limit)
+                cut += 1
+    assert compared >= 50 and cut >= 75
+
+
+def binary_terms_by_subpower(A):
+    """(subtractive, unital) read off two subpowers of A**(2n).  On the
+    positions (x, 0), (x, x) the generators x1, x2 generate the binary
+    terms' images, and s(x, 0) = x, s(x, x) = 0 is one vector there;
+    likewise p(x, 0) = x, p(0, x) = x on the positions (x, 0), (0, x)."""
+    n = A.size
+    xs, zeros = list(range(n)), [0] * n
+    _, _, elems = subpower(A, [xs + xs, zeros + xs])
+    subtractive = vector_type(n)(xs + zeros) in elems
+    _, _, elems = subpower(A, [xs + zeros, zeros + xs])
+    return subtractive, vector_type(n)(xs + xs) in elems
+
+
+def test_subpower_membership_decides_the_binary_term_searches():
+    rng = random.Random(73)
+    algebras = [builtin(name).algebra for name in list_builtins()]
+    algebras += [FiniteAlgebra(f"M{i}", 3, MAGMA, {
+        ZERO_OP: (0,), "s": op_table(3, 2, lambda *_: rng.randrange(3))}) for i in range(100)]
+    seen = set()
+    for A in algebras:
+        searches = find_subtraction_term(A), find_unit_term(A)
+        assert all(search.status != "unknown" for search in searches), A.name
+        verdicts = tuple(search.status == "found" for search in searches)
+        assert binary_terms_by_subpower(A) == verdicts, (A.name, A.tables)
+        seen.add(verdicts)
+    assert len(seen) >= 3, seen
+
+
+def test_subpower_refuses_ragged_or_out_of_range_generators():
+    Z3 = _cyclic(3, "Z3")
+    for gens in ([(0, 1), (0, 1, 2)], [(0, 3)], [()]):
+        with pytest.raises(ValueError):
+            subpower(Z3, gens)
