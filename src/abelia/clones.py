@@ -99,7 +99,10 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
     Returns (ops, complete, hit): the TermOps found in first-seen order, a
     completeness flag, and the TermOp accepted by ``stop`` if any.  Level s
     holds the terms with s symbols; the iteration ends when every level up
-    to the maximum possible composition size is exhausted.
+    to the maximum possible composition size is exhausted.  The leaves are
+    always kept; past them, ``cap`` tables at most.  A closure at the cap
+    runs on without keeping anything and is incomplete iff a new table
+    turns up.
     """
     n = A.size
     vector = vector_type(n)
@@ -153,17 +156,17 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
                 for prefix in itertools.product(*pools):
                     out = apply([p * len(last) for p in prefix] + [run])
                     batch = split(out, width, n)
-                    if len(order) < cap and all(map(by_table.__contains__, batch)):
+                    if all(map(by_table.__contains__, batch)):
                         continue
                     for tail, vec in zip(last, batch):
                         if vec not in by_table:
+                            if len(order) >= cap:
+                                return order, False, None
                             parts = prefix + (tail,)
                             term = Term(opname, tuple(by_table[p].witness for p in parts))
                             hit = admit(term, size, vec)
                             if hit:
                                 return order, True, hit
-                        if len(order) >= cap:
-                            return order, False, None
 
 
 def generate_term_ops(A: FiniteAlgebra, arity: int,

@@ -9,7 +9,6 @@ member of the block of x, so rep[x] <= x and rep[rep[x]] == rep[x].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
 
 from .caps import Caps, DEFAULT_CAPS
 from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductTables, vector_type
@@ -356,20 +355,30 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     # the same pair of theta-blocks as j fails j before any join; when psi
     # merges only that pair of blocks, that is the whole test.  A j in
     # C(theta) or failed so stays failed above theta, since i and j keep
-    # equal block pairs; so psi's pool is what passed this check after j.
+    # equal block pairs; so psi's pool is what passes this check among the
+    # j' after j that passed it at theta.
+    #
+    # A node is pushed with its pool already checked, and not at all when
+    # none passes.  When psi merges only the theta-blocks A, B of j's pair,
+    # the parent checks each later i of its passed list from theta's keys, u
+    # the key of {A, B}.  The block pair of i changes only if it touches A or
+    # B: {A, B} puts i in C(psi), and {A, c} or {B, c} meets an earlier index
+    # iff the other of the two, key ^ u, occurs before i, since i was the
+    # first index of its own pair.  A pair off A and B keeps its first index.
+    # So a node builds its k keys only if it has a second j to try, and after
+    # a wider merge the parent builds psi's keys.
     bottom = vec(range(n))
     levels = [[] for _ in range(n)] + [[bottom]]  # by block count
-    found, stack = 1, [(bottom, n, range(k))]
+    # Distinct principals have distinct first pairs, so each j passes at the
+    # bottom.
+    found, stack = 1, [(bottom, n, list(range(k)))]
     while stack:
-        theta, blocks, pool = stack.pop()
+        theta, blocks, passed = stack.pop()
         t = theta + pad
         tx, ty = X.translate(t), Y.translate(t)
-        # Block pair {a, b} as bits[a] ^ bits[b], at its least index; the key
-        # 0 of each i in C(theta) passes no j.
-        keys = list(map(xor, map(bits.__getitem__, tx), map(bits.__getitem__, ty)))
-        first = dict(zip(reversed(keys), range(k - 1, -1, -1)))
-        first[0] = -1
-        passed = [j for j in pool if first[keys[j]] == j]
+        # Block pair {a, b} as bits[a] ^ bits[b]; the key of each i in
+        # C(theta) is 0.
+        keys = [bits[a] ^ bits[b] for a, b in zip(tx, ty)] if len(passed) > 1 else None
         for m, j in enumerate(passed):
             tab, merged = _join(t, ident, *links[j])
             if merged > 1 and any(a != b and tab[a] == tab[b] for a, b in zip(tx[:j], ty[:j])):
@@ -379,8 +388,16 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
                 raise CapExceeded("congruence lattice size", found, caps.lattice_count)
             psi = theta.translate(tab)
             levels[blocks - merged].append(psi)
-            if m + 1 < len(passed):
-                stack.append((psi, blocks - merged, passed[m + 1:]))
+            pool = passed[m + 1:]
+            if pool and merged == 1:
+                u = keys[j]
+                pool = [i for i in pool if keys[i] != u
+                        and not (keys[i] & u and (keys[i] ^ u) in keys[:i])]
+            elif pool:
+                keys_psi = [bits[tab[a]] ^ bits[tab[b]] for a, b in zip(tx, ty)]
+                pool = [i for i in pool if keys_psi[i] and keys_psi.index(keys_psi[i]) == i]
+            if pool:
+                stack.append((psi, blocks - merged, pool))
     # _join roots each block at its least member: least-representative form.
     proved = Congruence._proved
     return [proved(n, tuple(rep)) for level in reversed(levels) for rep in sorted(level)]

@@ -95,6 +95,21 @@ def oracle_product(A, B):
     return FiniteAlgebra(f"{A.name}*{B.name}", n, A.signature, tables)
 
 
+def relabel(A, perm):
+    """The isomorphic copy of A in which element perm[x] plays the role of x,
+    built through apply(); perm is a permutation of range(A.size) fixing 0."""
+    n = A.size
+    if sorted(perm) != list(range(n)) or perm[0] != 0:
+        raise ValueError("perm must permute the carrier and fix 0")
+    tables = {}
+    for opname, arity in A.signature.ops:
+        image = {tuple(perm[a] for a in args): perm[A.apply(opname, *args)]
+                 for args in itertools.product(range(n), repeat=arity)}
+        tables[opname] = tuple(image[args]
+                               for args in itertools.product(range(n), repeat=arity))
+    return FiniteAlgebra(f"{A.name}'", n, A.signature, tables)
+
+
 def partitions(n):
     """All partitions of range(n), as least-representative tables."""
     if n == 0:

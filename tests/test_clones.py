@@ -132,25 +132,33 @@ def test_zero_only_closure(cat):
     assert sorted(str(op.witness) for op in ops.term_ops) == ["0", "x1", "x2"]
 
 
+# The left-projection magma s(x, y) = x: its clone parts are its leaves.
+LEFT = FiniteAlgebra("L2", 2, Signature(((ZERO_OP, 0), ("s", 2))),
+                     {ZERO_OP: (0,), "s": (0, 0, 1, 1)})
+
+
 def test_capped_closure_stops_at_the_same_table(cat):
-    # A capped run returns the first tables of the full run: it stops right
-    # after the evaluation that reaches the cap.  When the leaves already
-    # reach it, the first composition, the first op of least arity applied
-    # to x1 only, is still evaluated and kept if new.  s(x, y) = x makes it
-    # s(x1, x1) = x1, which is old.
-    left = FiniteAlgebra("L2", 2, Signature(((ZERO_OP, 0), ("s", 2))),
-                         {ZERO_OP: (0,), "s": (0, 0, 1, 1)})
-    for A in [*cat.values(), left]:
+    # A capped run returns the first tables of the full run: the leaves,
+    # which it always keeps, or as many tables as the cap admits.  At the cap
+    # it keeps nothing more and is complete iff no new table turns up, so a
+    # cap equal to the clone's size proves the clone complete.  Every cap
+    # gives LEFT its whole clone.
+    for A in [*cat.values(), LEFT]:
         if not any(arity for _, arity in A.signature.ops):
             continue
-        arity, name = min((arity, name) for name, arity in A.signature.ops if arity)
         for k in (1, 2):
             full = generate_term_ops(A, k).term_ops
-            leaves = {op.table for op in full if op.witness.size == 1}
-            first = evaluate_term(A, Term(name, (Term("x1"),) * arity), k)
-            reached = len(leaves) + (first not in leaves)
+            leaves = sum(op.witness.size == 1 for op in full)
             for cap in range(len(full) + 2):
                 got = generate_term_ops(A, k, Caps(clone_tables=cap))
-                expect = full[:cap] if cap > len(leaves) else full[:reached]
-                assert got.term_ops == expect, (A.name, k, cap)
-                assert got.complete == (cap > len(full)), (A.name, k, cap)
+                kept = max(cap, leaves)
+                assert got.term_ops == full[:kept], (A.name, k, cap)
+                assert got.complete == (kept >= len(full)), (A.name, k, cap)
+
+
+def test_term_search_at_the_clone_size_is_exhaustive(cat):
+    # B2's binary clone has 6 tables and none is a unit term; LEFT's has 3.
+    for A, size in [(cat["B2"], 6), (LEFT, 3)]:
+        assert find_unit_term(A, Caps(clone_tables=size)).status == "none"
+        assert find_unit_term(A, Caps(clone_tables=size)).explored == size
+    assert find_unit_term(cat["B2"], Caps(clone_tables=5)).status == "unknown"

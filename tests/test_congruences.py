@@ -285,6 +285,26 @@ def test_each_congruence_takes_one_join(cat, monkeypatch):
     assert len(joins) == 21_146
 
 
+@pytest.mark.parametrize("factors,joined,size", [
+    (("Z6", "Z6"), 42, 30),
+    (("Z4", "Z4", "Z2"), 63, 54),
+    (("Z8", "Z8"), 57, 37),
+    (("V4", "Z4"), 33, 27),
+])
+def test_joins_on_group_products_are_pinned(cat, monkeypatch, factors, joined, size):
+    # On groups a principal's join often merges more than its own pair of
+    # blocks, so the full canonicity test drops some joins after the fact;
+    # the check before each join must pass exactly the same principals.
+    from abelia.catalog import _cyclic
+    *rest, A = [cat[name] if name in cat else _cyclic(int(name[1:]), name)
+                for name in factors]
+    for X in reversed(rest):
+        A = product(X, A)
+    joins = counting_joins(monkeypatch)
+    assert len(all_congruences(A, Caps(cg=64, lattice=64))) == size
+    assert len(joins) == joined
+
+
 def test_lattice_count_cap_bounds_the_joins(monkeypatch):
     # Eq(12) has 4,213,597 members; the refusal at the 2,001st takes at most
     # one join per congruence found.

@@ -33,7 +33,7 @@ from oracles import (brute_homs, brute_subtraction_tables, commutes,
                      depth_closure_tables, equivalence_join,
                      free_algebra_by_rounds,
                      np_partition_oracle, oracle_product, partition_compatible,
-                     partitions)
+                     partitions, relabel)
 
 
 def random_pointed_algebra(rng: random.Random, size: int, tag: str) -> FiniteAlgebra:
@@ -260,6 +260,56 @@ def test_lattice_build_keeps_each_congruence_once(monkeypatch):
         assert len(joins) >= len(reps) - 1
         dropped += len(joins) > len(reps) - 1
     assert len(algebras) >= 150 and dropped >= 40
+
+
+def pulled_back(rep, perm) -> tuple[int, ...]:
+    """The partition x ~ y iff perm[x] and perm[y] share a block of rep, in
+    least-representative form."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(rep[perm[x]], x) for x in range(len(perm)))
+
+
+def test_lattices_are_invariant_under_relabelling(monkeypatch):
+    # A relabelled algebra's lattice, mapped back through the permutation,
+    # is the same set of partitions.  Its join count need not be: the
+    # canonicity test reads the principals in the order of their first
+    # pairs, and a join that merges more than its own pair of blocks can be
+    # dropped in one order and kept in another.  Where every principal is
+    # an atom of Eq(A), one two-element block, every join merges two blocks
+    # and each congruence takes one join in every labelling.
+    joins = []
+    join_ = congruences._join
+    monkeypatch.setattr(congruences, "_join", lambda *args: joins.append(1) or join_(*args))
+
+    def joins_and_reps(A):
+        joins.clear()
+        reps = [t.rep for t in all_congruences(A)]
+        return len(joins), reps
+
+    builtins = [builtin(name).algebra for name in list_builtins()]
+    algebras = builtins + [product(A, B) for A in builtins for B in builtins
+                           if A.signature == B.signature and A.size * B.size <= 9]
+    algebras += [A for _, A in generated(60, seed=2025)]
+    for _, A, B, C in generated_triples(90, seed=37):
+        algebras += [P for P in (product(A, B), product(A, product(B, C))) if P.size <= 8]
+    rng = random.Random(41)
+    atomic = 0
+    for A in algebras:
+        n = A.size
+        joined, reps = joins_and_reps(A)
+        atoms = all(cg(A, [(x, y)]).num_blocks == n - 1
+                    for x in range(n) for y in range(x + 1, n))
+        if atoms:
+            assert joined == len(reps) - 1, A.name
+        for _ in range(2):
+            perm = [0] + rng.sample(range(1, n), n - 1)
+            joined, image = joins_and_reps(relabel(A, perm))
+            back = {pulled_back(rep, perm) for rep in image}
+            assert back == set(reps) and len(image) == len(reps), A.name
+            if atoms:
+                assert joined == len(image) - 1, A.name
+        atomic += atoms
+    assert len(algebras) >= 200 and atomic >= 80
 
 
 def one_close_per_pair(A: FiniteAlgebra) -> dict:
