@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductTables, vector_type
+from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra, vector_type
 
 
 @dataclass(frozen=True)
@@ -87,56 +87,48 @@ def _op_rows(A: FiniteAlgebra) -> list:
     closed under these maps (Mal'tsev's lemma, Burris & Sankappanavar,
     §II.5): ``_close`` and ``_principals`` need nothing more.
 
-    A plain algebra gives its full rows.  A product gives, at each op f and
-    argument position p where both factors are unital (see ``_unital``),
-    its factors' generator rows lifted one side at a time: a basic
-    translation t x u of the product at (f, p) is (t x id) o (id x u), and
-    both of those are basic translations at (f, p), since on each factor
+    A plain algebra gives its full rows (``_plain_rows``).  A product gives,
+    at each op f and argument position p where both factors are unital (see
+    ``_unital``), its factors' generator rows lifted one side at a time: a
+    basic translation t x u of the product at (f, p) is (t x id) o (id x u),
+    and both of those are basic translations at (f, p), since on each factor
     the identity is one.  So a link of Z12 x Z12^2 scans 2 * (12 + 144) + 1
     entries instead of 2 * 1,728 + 1, or 2 * (12 + 12 + 12) + 1 when Z12^2
     is itself a product.  Where a factor is not unital at (f, p), the
     product falls back to the outer sum of its factors' full rows.  A
     homomorphism search from a product must check every argument tuple,
-    not only generators, so it reads ``_full_rows``, never these.
+    not only generators, so it reads the full rows, the first entries of
+    ``_product_rows``, never these.
     """
-    if isinstance(A.tables, ProductTables):
-        return [row for _, gens, _ in _product_rows(A.tables) for row in gens]
-    return _plain_rows(A)
-
-
-def _full_rows(A: FiniteAlgebra) -> list:
-    """One row function per non-constant operation and argument position.
-
-    row(x) lists the operation's outputs with x in that position, taken over
-    every setting of the other arguments in a fixed order.  A product's row
-    of (a, b) is the outer sum of its factors' rows of a and b; it is never
-    kept, since keeping every row would rebuild the product's tables.
-    """
-    if isinstance(A.tables, ProductTables):
-        return [full for full, _, _ in _product_rows(A.tables)]
+    if isinstance(A, ProductAlgebra):
+        return [row for _, gens, _ in _product_rows(A) for row in gens]
     return _plain_rows(A)
 
 
 def _plain_rows(A: FiniteAlgebra) -> list:
+    # One row per op and argument position: row(x) lists the op's outputs
+    # with x there, over the other arguments' settings in a fixed order.
     n = A.size
     return [_table_row(A.tables[opname], n, n ** (arity - 1 - p))
             for opname, arity in A.signature.ops for p in range(arity)]
 
 
-def _product_rows(T: ProductTables) -> list[tuple]:
+def _product_rows(P: ProductAlgebra) -> list[tuple]:
     """(full row, generator rows, unital) for each op and argument position
-    of left x right, in the order of ``_plain_rows``.  A product is unital
-    at a position iff both of its factors are."""
-    nb = T.right.size
+    of P = left x right, in the order of ``_plain_rows``.  The full row of
+    (a, b), the outer sum of the factors' full rows, is never kept, since
+    keeping every row would rebuild P's tables.  A product is unital at a
+    position iff both of its factors are."""
+    nb = P.right.size
 
     def factor(X: FiniteAlgebra) -> list[tuple]:
-        if isinstance(X.tables, ProductTables):
-            return _product_rows(X.tables)
+        if isinstance(X, ProductAlgebra):
+            return _product_rows(X)
         return [(row, [row], _unital(row, X.size)) for row in _plain_rows(X)]
 
     out = []
     for (full_a, gens_a, unital_a), (full_b, gens_b, unital_b) in \
-            zip(factor(T.left), factor(T.right)):
+            zip(factor(P.left), factor(P.right)):
         full, unital = _outer(full_a, full_b, nb), unital_a and unital_b
         if unital:
             gens = [_lift_left(g, nb) for g in gens_a] + [_lift_right(g, nb) for g in gens_b]

@@ -6,11 +6,11 @@ the distinguished point (the value of the nullary operation ``zero``).
 Operation tables are flat tuples in row-major order over argument tuples
 (last argument varies fastest), so a k-ary operation on n elements has a
 table of n**k entries.  A product's tables are built per operation on
-first read and then kept, so code that reads a product's operations through
-its factors (congruence generation does) never builds them.  All table
-arithmetic goes through ``coordinates``, the digit columns of a row-major
-order, and ``pointwise``, which applies an op to whole columns kept as
-``vector_type(n)``.
+first read and then kept, so code that reads a product through its factors
+(equality, the canonical maps, congruence generation) never builds them.
+All table arithmetic goes through ``coordinates``, the digit columns of a
+row-major order, and ``pointwise``, which applies an op to whole columns
+kept as ``vector_type(n)``.
 """
 
 from __future__ import annotations
@@ -219,15 +219,13 @@ class FiniteAlgebra:
         if set(self.tables) != want:
             raise InvalidAlgebra(
                 f"tables {sorted(self.tables)} do not match signature {sorted(want)}")
-        if isinstance(self.tables, ProductTables):
-            # Each table is checked when it is first built.
-            if (self.tables.size, self.tables.signature) != (self.size, self.signature):
-                raise InvalidAlgebra("product tables do not match the carrier or signature")
-        else:
-            for opname, arity in self.signature.ops:
-                _check_table(opname, arity, self.size, self.tables[opname])
+        self._check_tables()
         if self.tables[ZERO_OP] != (0,):
             raise InvalidAlgebra("zero must name element 0")
+
+    def _check_tables(self) -> None:
+        for opname, arity in self.signature.ops:
+            _check_table(opname, arity, self.size, self.tables[opname])
 
     def elements(self) -> range:
         return range(self.size)
@@ -245,24 +243,32 @@ class FiniteAlgebra:
 def hom_violation(source: FiniteAlgebra, target: FiniteAlgebra,
                   mapping: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
     """First (operation, argument tuple) where mapping fails to commute, else
-    None.  Each op compares whole columns; a row is located only on a mismatch."""
-    n, m = source.size, target.size
+    None.  Each op is checked by ``op_violation``."""
+    for opname, arity in source.signature.ops:
+        args = op_violation(source.tables[opname], target.tables[opname],
+                            source.size, target.size, arity, mapping)
+        if args is not None:
+            return (opname, args)
+    return None
+
+
+def op_violation(st: tuple[int, ...], tt: tuple[int, ...], n: int, m: int, arity: int,
+                 mapping: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first argument tuple, in row-major order, where mapping from n to
+    m elements fails to commute with one op, given by its table st on the
+    source and tt on the target; None if it commutes.  Whole columns are
+    compared; a row is located only on a mismatch."""
+    if arity == 0:
+        return () if mapping[st[0]] != tt[0] else None
     vector = vector_type(m)
     image = mapping.__getitem__
-    for opname, arity in source.signature.ops:
-        st = source.tables[opname]
-        tt = target.tables[opname]
-        if arity == 0:
-            if mapping[st[0]] != tt[0]:
-                return (opname, ())
-            continue
-        cols = coordinates((n,) * arity)
-        lhs = vector(map(image, st))
-        rhs = pointwise(tt, m, arity)([vector(map(image, col)) for col in cols])
-        if lhs != rhs:
-            i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-            return (opname, tuple(col[i] for col in cols))
-    return None
+    cols = coordinates((n,) * arity)
+    lhs = vector(map(image, st))
+    rhs = pointwise(tt, m, arity)([vector(map(image, col)) for col in cols])
+    if lhs == rhs:
+        return None
+    i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    return tuple(col[i] for col in cols)
 
 
 def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra,
@@ -320,7 +326,9 @@ def identity_hom(A: FiniteAlgebra) -> Homomorphism:
 
 
 def zero_hom(X: FiniteAlgebra, Y: FiniteAlgebra) -> Homomorphism:
-    """The constant-zero map; a homomorphism for any pair of like algebras."""
+    """The constant-zero map X -> Y.  It is a homomorphism exactly when every
+    op of Y maps (0, ..., 0) to 0; otherwise this raises
+    ``InvalidHomomorphism``."""
     if X.signature != Y.signature:
         raise SignatureMismatch(f"{X.name} and {Y.name} have different signatures")
     return Homomorphism(X, Y, (0,) * X.size)
@@ -337,15 +345,29 @@ def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
 class ProductAlgebra(FiniteAlgebra):
     """Componentwise product on pairs (a, b) encoded as a*|B|+b.
 
-    Carries the canonical projections p1, p2 and the zero-padded
-    inclusions i1: a -> (a, 0) and i2: b -> (0, b).  The projections
-    commute with every op by the definition of the product, and an inclusion
-    does when every op of the other factor maps (0, ..., 0) to 0; such maps
-    are built without checking, so reading them builds no product table.
+    Its tables are the ``ProductTables`` of its own factors, checked once at
+    construction, so readers go through the factors and build no product
+    table: products with equal names and factors are equal, the projections
+    p1, p2 commute with every op, and the zero-padded inclusions
+    i1: a -> (a, 0) and i2: b -> (0, b) do exactly when every op of the
+    padding factor maps (0, ..., 0) to 0 (else reading one raises).
     """
 
     left: FiniteAlgebra
     right: FiniteAlgebra
+
+    def _check_tables(self) -> None:
+        # The factors' tables were checked when the factors were built.
+        T = self.tables
+        if not (isinstance(T, ProductTables) and T.left is self.left and T.right is self.right
+                and self.size == self.left.size * self.right.size
+                and self.signature == self.left.signature == self.right.signature):
+            raise InvalidAlgebra("a product's tables must be the product of its own factors")
+
+    def __eq__(self, other):
+        if not isinstance(other, ProductAlgebra):
+            return NotImplemented
+        return (self.name, self.left, self.right) == (other.name, other.left, other.right)
 
     def pair(self, a: int, b: int) -> int:
         return a * self.right.size + b
@@ -356,74 +378,62 @@ class ProductAlgebra(FiniteAlgebra):
     @cached_property
     def p1(self) -> Homomorphism:
         nb = self.right.size
-        return self._canonical(self, self.left, tuple(e // nb for e in range(self.size)))
+        return Homomorphism._proved(self, self.left, tuple(e // nb for e in range(self.size)))
 
     @cached_property
     def p2(self) -> Homomorphism:
         nb = self.right.size
-        return self._canonical(self, self.right, tuple(e % nb for e in range(self.size)))
+        return Homomorphism._proved(self, self.right, tuple(e % nb for e in range(self.size)))
 
     @cached_property
     def i1(self) -> Homomorphism:
         nb = self.right.size
-        return self._canonical(self.left, self, tuple(a * nb for a in range(self.left.size)),
+        return self._inclusion(self.left, tuple(a * nb for a in range(self.left.size)),
                                self.right)
 
     @cached_property
     def i2(self) -> Homomorphism:
-        return self._canonical(self.right, self, tuple(range(self.right.size)), self.left)
+        return self._inclusion(self.right, tuple(range(self.right.size)), self.left)
 
-    def _canonical(self, source: FiniteAlgebra, target: FiniteAlgebra,
-                   mapping: tuple[int, ...], padded: FiniteAlgebra | None = None) -> Homomorphism:
-        # Over the tables that product() builds, a projection commutes with
-        # every op, and an inclusion does exactly when every op of the factor
-        # it pads with 0 maps (0, ..., 0) to 0.  Anything else goes through
-        # the validating constructor, which raises if the map is no
-        # homomorphism.
-        tables = self.tables
-        if (isinstance(tables, ProductTables) and tables.left is self.left
-                and tables.right is self.right
-                and (padded is None or _fixes_zero(padded))):
-            return Homomorphism._proved(source, target, mapping)
-        return Homomorphism(source, target, mapping)
+    def _inclusion(self, source: FiniteAlgebra, mapping: tuple[int, ...],
+                   padded: FiniteAlgebra) -> Homomorphism:
+        make = Homomorphism._proved if _fixes_zero(padded) else Homomorphism
+        return make(source, self, mapping)
 
 
 def _fixes_zero(A: FiniteAlgebra) -> bool:
     """Whether every op of A maps (0, ..., 0), index 0 of its table, to 0.
     A product is asked through its factors, so no product table is built."""
-    if isinstance(A.tables, ProductTables):
-        return _fixes_zero(A.tables.left) and _fixes_zero(A.tables.right)
+    if isinstance(A, ProductAlgebra):
+        return _fixes_zero(A.left) and _fixes_zero(A.right)
     return all(A.tables[name][0] == 0 for name, _ in A.signature.ops)
 
 
 class ProductTables(Mapping):
     """The operation tables of left x right, in the row-major layout of any
-    other table, each built and checked on first read and then kept."""
+    other table, each built on first read and then kept.  Every entry pairs
+    two entries of the factors' checked tables, so none is checked again."""
 
     def __init__(self, left: FiniteAlgebra, right: FiniteAlgebra):
         self.left = left
         self.right = right
-        self.size = left.size * right.size
-        self.signature = left.signature
         self._built: dict[str, tuple[int, ...]] = {}
 
     def __getitem__(self, opname: str) -> tuple[int, ...]:
         table = self._built.get(opname)
         if table is None:
-            arity = self.signature.arity(opname)
-            table = _product_table(self.left, self.right, opname, arity)
-            _check_table(opname, arity, self.size, table)
-            self._built[opname] = table
+            arity = self.left.signature.arity(opname)
+            table = self._built[opname] = _product_table(self.left, self.right, opname, arity)
         return table
 
     def __contains__(self, opname) -> bool:
-        return any(name == opname for name, _ in self.signature.ops)
+        return any(name == opname for name, _ in self.left.signature.ops)
 
     def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self.signature.ops)
+        return (name for name, _ in self.left.signature.ops)
 
     def __len__(self) -> int:
-        return len(self.signature.ops)
+        return len(self.left.signature.ops)
 
 
 def _product_table(A: FiniteAlgebra, B: FiniteAlgebra, opname: str,
@@ -449,14 +459,15 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra) -> ProductAlgebra:
 
 
 def pairing_hom(prod: ProductAlgebra, a: Homomorphism, b: Homomorphism) -> Homomorphism:
-    """The tupling <a, b>: X -> A x B of two maps with a common source."""
+    """The tupling <a, b>: X -> A x B of two maps with a common source, a
+    homomorphism by the product's universal property, so built unchecked."""
     if a.source != b.source:
         raise ValueError("pairing_hom: the two maps must share a source")
     if a.target != prod.left or b.target != prod.right:
         raise ValueError("pairing_hom: targets must be the product factors")
-    return Homomorphism(a.source, prod,
-                        tuple(prod.pair(a.mapping[x], b.mapping[x])
-                              for x in range(a.source.size)))
+    return Homomorphism._proved(a.source, prod,
+                                tuple(prod.pair(a.mapping[x], b.mapping[x])
+                                      for x in range(a.source.size)))
 
 
 def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,

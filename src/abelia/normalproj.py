@@ -301,14 +301,6 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
     caps = caps or DEFAULT_CAPS
     params = parameter_objects if parameter_objects is not None else list(catalog)
     target_pool = targets if targets is not None else list(catalog)
-    np_self: dict[int, bool] = {}
-
-    def self_holds(X: FiniteAlgebra) -> bool:
-        key = id(X)
-        if key not in np_self:
-            np_self[key] = check_np_pair(X, X, caps).holds
-        return np_self[key]
-
     pairs: list[PairCrossCheck] = []
     discrepancies: list[str] = []
     ordered = sorted(catalog, key=lambda X: X.name)
@@ -349,7 +341,9 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
                     d_instances += report.instances
                     if report.failures:
                         d_failures.append((X.name, len(report.failures)))
-                        if self_holds(X):
+                        # Under np(A, B) condition d cannot fail, so this
+                        # runs only if the theory or the code is wrong.
+                        if check_np_pair(X, X, caps).holds:
                             discrepancies.append(
                                 f"generalized-element failure on ({A.name}, {B.name}) "
                                 f"with parameter {X.name} though its diagonal law holds")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .caps import Caps, DEFAULT_CAPS
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
                    _hom_tables, coordinates, enumerate_homomorphisms, hom_violation,
-                   pointwise, product)
+                   op_violation, pointwise, product)
 from .normalproj import _kills_slice, _moved, check_np_pair
 
 
@@ -181,14 +181,13 @@ def derive_abelian(s: InternalSubtraction) -> AbelianResult:
 
 def check_homomorphic(g: Homomorphism, s: InternalSubtraction,
                       s_prime: InternalSubtraction) -> LawVerdict:
-    """Check g(s(x,y)) = s'(g(x), g(y)) over all pairs."""
+    """Check g(s(x,y)) = s'(g(x), g(y)) over all pairs; the witness is the
+    lexicographically first failing (x, y)."""
     if g.source != s.algebra or g.target != s_prime.algebra:
         raise ValueError("map endpoints do not match the subtraction carriers")
-    for x in range(g.source.size):
-        for y in range(g.source.size):
-            if g(s(x, y)) != s_prime(g(x), g(y)):
-                return LawVerdict(False, (x, y))
-    return LawVerdict(True, None)
+    witness = op_violation(s.hom.mapping, s_prime.hom.mapping,
+                           g.source.size, g.target.size, 2, g.mapping)
+    return LawVerdict(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -271,8 +270,7 @@ def verify_proof_construction_2(g: Homomorphism, s: InternalSubtraction,
     zero_ok = _kills_slice(table, X.size, range(X.size))
     np = check_np_pair(X, X, caps)
     translation = not _moved(table, X.size, xs, ys) if np.holds else None
-    addition = all(g(a.plus(x, y)) == a_p.plus(g(x), g(y))
-                   for x in range(X.size) for y in range(X.size))
+    addition = op_violation(a.add, a_p.add, X.size, g.target.size, 2, g.mapping) is None
     subtraction = check_homomorphic(g, s, s_prime).holds
     return Construction2Report(True, None, zero_ok, np.holds, translation,
                                addition, subtraction)
@@ -359,9 +357,8 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
                     violations.append(
                         f"map {A.name}->{B.name} {list(g.mapping)} not homomorphic "
                         f"at {sub_ok.witness}")
-                add_ok = all(g(ab.plus(x, y)) == ab_p.plus(g(x), g(y))
-                             for x in range(A.size) for y in range(A.size))
-                neg_ok = all(g(ab.minus(x)) == ab_p.minus(g(x)) for x in range(A.size))
+                add_ok = op_violation(ab.add, ab_p.add, A.size, B.size, 2, g.mapping) is None
+                neg_ok = op_violation(ab.neg, ab_p.neg, A.size, B.size, 1, g.mapping) is None
                 if not (add_ok and neg_ok):
                     violations.append(
                         f"map {A.name}->{B.name} {list(g.mapping)} not an "

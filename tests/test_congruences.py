@@ -225,7 +225,8 @@ def test_product_rows_lift_factor_generators():
     P = product(Z12, product(Z12, Z12))
     rows = congruences._op_rows(P)
     assert sum(len(row(5)) for row in rows) == 2 * (12 + 12 + 12) + 1
-    assert sum(len(row(5)) for row in congruences._full_rows(P)) == 2 * 1728 + 1
+    full = [row for row, _, _ in congruences._product_rows(P)]
+    assert sum(len(row(5)) for row in full) == 2 * 1728 + 1
     assert P.tables._built == P.right.tables._built == {"zero": (0,)}
 
 

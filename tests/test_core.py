@@ -4,7 +4,8 @@ import pytest
 
 from abelia import (Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     IncompatiblePartition, InvalidAlgebra, InvalidHomomorphism,
-                    POINTED, ParseError, Signature, SignatureMismatch, builtin,
+                    POINTED, ParseError, ProductAlgebra, Signature, SignatureMismatch,
+                    builtin,
                     cg, compose, enumerate_homomorphisms,
                     factor_through_split_epi, free_algebra, generate_term_ops,
                     hom_violation, identity_hom, is_homomorphism,
@@ -96,6 +97,41 @@ def test_product_canonical_maps_build_no_product_table():
     assert P.i2.mapping == tuple(P.pair(0, b) for b in P.right.elements())
 
 
+def test_product_equality_and_pairing_build_no_product_table(cat):
+    # A product's tables are its factors', so products are compared through
+    # their names and factors, and <p1, p2> is built without a check.
+    def z12():
+        return _cyclic(12, "Z12")
+    P = product(z12(), product(z12(), z12()))
+    Q = product(z12(), product(z12(), z12()))
+    assert P == Q
+    assert pairing_hom(P, P.p1, P.p2).mapping == tuple(P.elements())
+    for X in (P, P.right, Q, Q.right):
+        assert X.tables._built == {"zero": (0,)}
+    # Same name, size and table entries, other factors.
+    R = product(product(z12(), z12()), z12())
+    assert R.name == P.name and P != R and R != P
+    assert product(z12(), z12()) != product(z12(), _cyclic(12, "Z12'"))
+    # A plain algebra with a product's tables stays unequal to it.
+    S = product(cat["Z2"], cat["Z3"])
+    plain = FiniteAlgebra(S.name, S.size, S.signature, dict(S.tables))
+    assert S != plain and plain != S
+
+
+def test_product_algebra_takes_only_its_own_factors_tables(cat):
+    Z2, Z3 = cat["Z2"], cat["Z3"]
+    P, swapped = product(Z2, Z3), product(Z3, Z2)
+    sig = P.signature
+    for size, tables, left, right in [
+            (6, dict(P.tables), Z2, Z3), (6, swapped.tables, Z2, Z3),
+            (6, P.tables, Z3, Z2), (5, P.tables, Z2, Z3),
+            (6, P.tables, Z2, _cyclic(3, "Z3"))]:
+        with pytest.raises(InvalidAlgebra):
+            ProductAlgebra("Z2xZ3", size, sig, tables, left, right)
+    renamed = ProductAlgebra("W", 6, sig, P.tables, Z2, Z3)
+    assert renamed != P and renamed.p1.mapping == P.p1.mapping
+
+
 def test_product_canonical_maps_commute_on_builtin_pairs(cat):
     checked = 0
     for A in cat.values():
@@ -122,6 +158,15 @@ def test_product_inclusion_past_a_constant_off_zero_is_refused():
     assert P.i2.mapping == (0, 1)
     assert hom_violation(B, P, P.i2.mapping) is None
     assert hom_violation(A, P, (0, 2)) == ("c", ())
+
+
+def test_zero_hom_needs_every_target_op_to_fix_zero():
+    sig = Signature.make((("g", 1),))
+    X = FiniteAlgebra("X", 2, sig, {"zero": (0,), "g": (0, 1)})
+    Y = FiniteAlgebra("Y", 2, sig, {"zero": (0,), "g": (1, 0)})
+    with pytest.raises(InvalidHomomorphism, match="does not commute with g"):
+        zero_hom(X, Y)
+    assert zero_hom(Y, X).mapping == (0, 0)
 
 
 def test_product_signature_mismatch(cat):

@@ -14,7 +14,7 @@ import pytest
 from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
                     Homomorphism, IncompatiblePartition, InternalSubtraction,
                     ProductAlgebra, Signature, all_congruences, builtin,
-                    centralic_check, cg, check_condition_b,
+                    centralic_check, cg, check_condition_b, check_homomorphic,
                     check_condition_d_instances, check_condition_e_instances,
                     check_np_pair, enumerate_homomorphisms,
                     find_internal_subtractions, find_subtraction_term,
@@ -25,8 +25,8 @@ from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
 from abelia import congruences
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
-from abelia.core import (ZERO_OP, concat, coordinates, op_table, pointwise,
-                         split, subpower, vector_type)
+from abelia.core import (ZERO_OP, concat, coordinates, op_table, op_violation,
+                         pointwise, split, subpower, vector_type)
 from oracles import (brute_homs, brute_subtraction_tables, commutes,
                      condition_b_by_loops, condition_d_by_loops,
                      condition_e_by_loops, congruence_reps_by_filter,
@@ -195,21 +195,21 @@ def unital_triples(count: int, seed: int):
 def unital_flags(X: FiniteAlgebra) -> list[bool]:
     """Per op and argument position, whether X is unital there."""
     if isinstance(X, ProductAlgebra):
-        return [u for _, _, u in congruences._product_rows(X.tables)]
+        return [u for _, _, u in congruences._product_rows(X)]
     return [congruences._unital(row, X.size) for row in congruences._plain_rows(X)]
 
 
 def test_cg_on_products_of_unital_factors_matches_materialised_tables():
     # On a product whose factors are both unital at an op and position,
     # _op_rows returns the factors' generator rows lifted one side at a
-    # time; elsewhere it returns the full outer-sum row, which _full_rows
-    # always returns.  Both must give the closures and lattices of the
-    # materialised tables.
+    # time; elsewhere it returns the full outer-sum row, which is the first
+    # entry of every _product_rows triple.  Both must give the closures and
+    # lattices of the materialised tables.
     lifted = mixed = lattices = 0
     for rng, A, B, C in unital_triples(80, seed=83):
         for P in (product(A, B), product(A, product(B, C))):
             plain = materialised(P)
-            full = congruences._full_rows(P)
+            full = [row for row, _, _ in congruences._product_rows(P)]
             for got, expect in zip(full, congruences._op_rows(plain), strict=True):
                 assert [got(e) for e in P.elements()] == [expect(e) for e in P.elements()]
             lifted += any(unital_flags(P))
@@ -445,6 +445,82 @@ def test_enumerated_maps_pass_the_independent_check():
                              for name, arity in X.signature.ops)
     assert checked >= 300 and contradicted >= 200
     assert ternary >= 100 and constants >= 150
+
+
+def first_failure_by_loops(st, tt, n, m, arity, mapping):
+    """The first args, in row-major order, with mapping(op(args)) !=
+    op(mapping(args)), by one index loop per argument tuple."""
+    for args in itertools.product(range(n), repeat=arity):
+        src = tgt = 0
+        for a in args:
+            src, tgt = src * n + a, tgt * m + mapping[a]
+        if mapping[st[src]] != tt[tgt]:
+            return args
+    return None
+
+
+def test_op_violation_matches_the_index_loop():
+    # m = 300 takes tuple vectors; arity 0 compares the constants alone.
+    rng = random.Random(97)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)) for _ in range(300)]
+    shapes += [(3, 300, 2), (2, 300, 1), (300, 2, 1)]
+    found = 0
+    for n, m, arity in shapes:
+        mapping = tuple(rng.randrange(m) for _ in range(n))
+        st = tuple(rng.randrange(n) for _ in range(n ** arity))
+        # tt agrees with the image of st wherever the map is onto one value
+        # per argument tuple, then one entry is changed half the time.
+        tt = [rng.randrange(m) for _ in range(m ** arity)]
+        for args in itertools.product(range(n), repeat=arity):
+            src = tgt = 0
+            for a in args:
+                src, tgt = src * n + a, tgt * m + mapping[a]
+            tt[tgt] = mapping[st[src]]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(tt))
+            tt[i] = (tt[i] + 1) % m
+        tt = tuple(tt)
+        expect = first_failure_by_loops(st, tt, n, m, arity, mapping)
+        assert op_violation(st, tt, n, m, arity, mapping) == expect, (n, m, arity)
+        found += expect is not None
+    assert 50 <= found <= 250
+
+
+def test_check_homomorphic_matches_the_double_loop():
+    # check_homomorphic reads only the two binary tables and the map, so a
+    # binary op of a generated algebra stands in for each subtraction.  Under
+    # a homomorphism g the same op on both sides passes; with one entry of
+    # the target's table changed it fails wherever g's image reaches it.
+    def wrap(A, table):
+        return InternalSubtraction._proved(A, Homomorphism._proved(product(A, A), A, table))
+
+    def by_loops(g, s, sp):
+        n = g.source.size
+        return next(((x, y) for x in range(n) for y in range(n)
+                     if g(s(x, y)) != sp(g(x), g(y))), None)
+
+    held = failed = inner = 0
+    for rng, A, B, _ in itertools.chain(generated_triples(120, seed=89),
+                                        unital_triples(60, seed=89)):
+        binary = [name for name, arity in A.signature.ops if arity == 2]
+        if not binary:
+            continue
+        op = rng.choice(binary)
+        s = wrap(A, A.tables[op])
+        for Y in (A, B):
+            changed = list(Y.tables[op])
+            i = rng.randrange(len(changed))
+            changed[i] = (changed[i] + 1) % Y.size
+            for g in itertools.islice(enumerate_homomorphisms(A, Y), 4):
+                for sp in (wrap(Y, Y.tables[op]), wrap(Y, tuple(changed))):
+                    verdict = check_homomorphic(g, s, sp)
+                    expect = by_loops(g, s, sp)
+                    assert (verdict.holds, verdict.witness) == (expect is None, expect), \
+                        (A.name, Y.name, g)
+                    held += verdict.holds
+                    failed += not verdict.holds
+                    inner += expect not in (None, (0, 0))
+    assert held >= 300 and failed >= 90 and inner >= 60
 
 
 def test_found_subtractions_equal_validated_ones():

@@ -332,6 +332,24 @@ def test_cross_check_pointed(cat, monkeypatch):
     assert all(p.d_instances == 0 for p in report.pairs)
 
 
+def test_cross_check_records_a_condition_d_failure(cat, monkeypatch):
+    # Under np(A, B) condition d cannot fail, so this branch runs only when
+    # the theory or a check is wrong.  A stub reports one failure per
+    # parameter: each is listed, and only a parameter whose own diagonal law
+    # holds (T1, not P2) raises a discrepancy.
+    monkeypatch.setattr(normalproj, "check_condition_d_instances",
+                        lambda A, B, targets, params, caps:
+                        normalproj.ConditionReport("d", 1, (None,)))
+    T = trivial(cat["P2"].signature)
+    report = cross_check_conditions([T], parameter_objects=[T, cat["P2"]])
+    (pair,) = report.pairs
+    assert pair.np_holds and pair.d_instances == 2
+    assert pair.d_failures == (("T1", 1), ("P2", 1))
+    assert report.discrepancies == (
+        "generalized-element failure on (T1, T1) with parameter T1 though its "
+        "diagonal law holds",)
+
+
 def test_cross_check_trivial(cat):
     report = cross_check_conditions([trivial(cat["P2"].signature)])
     assert report.ok
