@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import (FiniteAlgebra, ZERO_OP, concat, coordinates, pointwise, split,
-                   vector_type)
+from .core import (FiniteAlgebra, ZERO_OP, broken_cell, concat, coordinates, pointwise,
+                   split, subtraction_cells, unit_cells, vector_type)
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,11 @@ def generate_term_ops(A: FiniteAlgebra, arity: int,
     return TermOps(arity, tuple(ops), complete)
 
 
-def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, laws) -> TermSearch:
-    """Search the binary clone part for a table t with laws(t, n) true."""
+def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, cells) -> TermSearch:
+    """Search the binary clone part for a table that holds every cell."""
     caps = caps or DEFAULT_CAPS
-    n = A.size
     ops, complete, hit = _closure(A, 2, caps.clone_tables,
-                                  stop=lambda op: laws(op.table, n))
+                                  stop=lambda op: broken_cell(op.table, cells) is None)
     if hit is not None:
         return TermSearch("found", hit, len(ops))
     return TermSearch("none" if complete else "unknown", None, len(ops))
@@ -192,11 +191,9 @@ def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, laws) -> TermSearch
 
 def find_subtraction_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
     """Search the binary clone part for s with s(x,x)=0 and s(x,0)=x."""
-    return _binary_term_search(A, caps, lambda t, n: all(
-        t[x * n + x] == 0 and t[x * n] == x for x in range(n)))
+    return _binary_term_search(A, caps, subtraction_cells(A.size))
 
 
 def find_unit_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
     """Search the binary clone part for p with p(x,0)=x and p(0,x)=x."""
-    return _binary_term_search(A, caps, lambda t, n: all(
-        t[x * n] == x and t[x] == x for x in range(n)))
+    return _binary_term_search(A, caps, unit_cells(A.size))

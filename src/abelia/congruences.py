@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
-from .core import CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra, vector_type
+from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra, coordinates,
+                   pointwise, split, vector_type)
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,9 @@ def _op_rows(A: FiniteAlgebra) -> list:
     closed under these maps (Mal'tsev's lemma, Burris & Sankappanavar,
     §II.5): ``_close`` and ``_principals`` need nothing more.
 
-    A plain algebra gives its full rows (``_plain_rows``).  A product gives,
-    at each op f and argument position p where both factors are unital (see
+    A plain algebra gives its full rows (``_plain_rows``), all n rows of an
+    op and position cut from one ``pointwise`` call.  A product gives, at
+    each op f and argument position p where both factors are unital (see
     ``_unital``), its factors' generator rows lifted one side at a time: a
     basic translation t x u of the product at (f, p) is (t x id) o (id x u),
     and both of those are basic translations at (f, p), since on each factor
@@ -106,11 +108,17 @@ def _op_rows(A: FiniteAlgebra) -> list:
 
 
 def _plain_rows(A: FiniteAlgebra) -> list:
-    # One row per op and argument position: row(x) lists the op's outputs
-    # with x there, over the other arguments' settings in a fixed order.
+    # One row per op and argument position p: row(x) lists the op's outputs
+    # with x at p, over the other arguments' settings in row-major order.
+    # That is the op on ``coordinates`` with the first column moved to p.
     n = A.size
-    return [_table_row(A.tables[opname], n, n ** (arity - 1 - p))
-            for opname, arity in A.signature.ops for p in range(arity)]
+    out = []
+    for opname, arity in A.signature.ops:
+        cols = coordinates((n,) * arity)
+        for p in range(arity):
+            table = pointwise(A.tables[opname], n, arity)(cols[1:p + 1] + cols[:1] + cols[p + 1:])
+            out.append([list(row) for row in split(table, n ** (arity - 1), n)].__getitem__)
+    return out
 
 
 def _product_rows(P: ProductAlgebra) -> list[tuple]:
@@ -174,22 +182,6 @@ def _lift_right(row_b, nb: int):
         b = e % nb
         base = e - b
         return [base + v for v in row_b(b)]
-    return row
-
-
-def _table_row(table: tuple[int, ...], n: int, stride: int):
-    # The entries with argument x in the position of this stride are the
-    # runs table[x*stride : (x+1)*stride] of every block of n*stride entries.
-    # Each row is cut once and kept: at most the table's size per position.
-    block = n * stride
-    cache: list[list[int] | None] = [None] * n
-
-    def row(x: int) -> list[int]:
-        got = cache[x]
-        if got is None:
-            got = cache[x] = [v for start in range(x * stride, len(table), block)
-                              for v in table[start:start + stride]]
-        return got
     return row
 
 

@@ -10,7 +10,9 @@ first read and then kept, so code that reads a product through its factors
 (equality, the canonical maps, congruence generation) never builds them.
 All table arithmetic goes through ``coordinates``, the digit columns of a
 row-major order, and ``pointwise``, which applies an op to whole columns
-kept as ``vector_type(n)``.
+kept as ``vector_type(n)``.  The laws s(x, x) = 0, s(x, 0) = x of a
+subtraction and p(x, 0) = x = p(0, x) of a unit term are written here
+once, as table cells (``subtraction_cells``, ``unit_cells``).
 """
 
 from __future__ import annotations
@@ -112,14 +114,6 @@ def op_table(size: int, arity: int, fn) -> tuple[int, ...]:
     return tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
 
 
-def nested_table(table: tuple[int, ...], n: int, arity: int):
-    """The row-major table of an ``arity``-ary op on n elements as nested
-    tuples, so that ``nested[a][b][c]`` is the value at (a, b, c)."""
-    for _ in range(arity - 1):
-        table = tuple(table[i:i + n] for i in range(0, len(table), n))
-    return table
-
-
 def vector_type(n: int) -> type:
     """The type of column vectors over an n-element carrier: ``bytes`` when
     every element fits in a byte, else ``tuple``.  Vectors that are compared
@@ -185,7 +179,10 @@ def pointwise(table: tuple[int, ...], n: int, arity: int):
             return acc.to_bytes(len(cols[0]), "little").translate(lookup)
         return apply
 
-    nested = nested_table(table, n, arity)
+    # The table as nested tuples: nested[a][b][c] is the value at (a, b, c).
+    nested = table
+    for _ in range(arity - 1):
+        nested = tuple(nested[i:i + n] for i in range(0, len(nested), n))
     vector = vector_type(n)
 
     def apply(cols):
@@ -265,10 +262,32 @@ def op_violation(st: tuple[int, ...], tt: tuple[int, ...], n: int, m: int, arity
     cols = coordinates((n,) * arity)
     lhs = vector(map(image, st))
     rhs = pointwise(tt, m, arity)([vector(map(image, col)) for col in cols])
+    return first_mismatch(lhs, rhs, cols)
+
+
+def first_mismatch(lhs, rhs, cols) -> tuple[int, ...] | None:
+    """The entries of ``cols`` at the first row where same-typed lhs and rhs differ, else None."""
     if lhs == rhs:
         return None
     i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
     return tuple(col[i] for col in cols)
+
+
+def subtraction_cells(n: int) -> tuple[tuple[int, int], ...]:
+    """s(x, x) = 0 and s(x, 0) = x as (index, value) cells of a binary
+    table on n elements, x ascending."""
+    return tuple(cell for x in range(n) for cell in ((x * n + x, 0), (x * n, x)))
+
+
+def unit_cells(n: int) -> tuple[tuple[int, int], ...]:
+    """p(x, 0) = x = p(0, x) as cells, laid out as ``subtraction_cells``;
+    each cell's value is its x."""
+    return tuple(cell for x in range(n) for cell in ((x * n, x), (x, x)))
+
+
+def broken_cell(table, cells) -> tuple[int, int] | None:
+    """The first (index, value) of ``cells`` that ``table`` breaks, else None."""
+    return next(((i, v) for i, v in cells if table[i] != v), None)
 
 
 def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra,
@@ -322,7 +341,7 @@ class Homomorphism:
 
 
 def identity_hom(A: FiniteAlgebra) -> Homomorphism:
-    return Homomorphism(A, A, tuple(range(A.size)))
+    return Homomorphism._proved(A, A, tuple(range(A.size)))
 
 
 def zero_hom(X: FiniteAlgebra, Y: FiniteAlgebra) -> Homomorphism:
@@ -331,14 +350,20 @@ def zero_hom(X: FiniteAlgebra, Y: FiniteAlgebra) -> Homomorphism:
     ``InvalidHomomorphism``."""
     if X.signature != Y.signature:
         raise SignatureMismatch(f"{X.name} and {Y.name} have different signatures")
-    return Homomorphism(X, Y, (0,) * X.size)
+    return _zero_padded(X, Y, (0,) * X.size, Y)
+
+
+def _zero_padded(source: FiniteAlgebra, target: FiniteAlgebra, mapping: tuple[int, ...],
+                 padded: FiniteAlgebra) -> Homomorphism:
+    make = Homomorphism._proved if _fixes_zero(padded) else Homomorphism
+    return make(source, target, mapping)
 
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
-    """The composite g after f."""
+    """The composite g after f, a homomorphism since both are."""
     if f.target != g.source:
         raise ValueError("compose: inner target does not match outer source")
-    return Homomorphism(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
+    return Homomorphism._proved(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
 
 
 @dataclass(frozen=True, repr=False)
@@ -388,22 +413,19 @@ class ProductAlgebra(FiniteAlgebra):
     @cached_property
     def i1(self) -> Homomorphism:
         nb = self.right.size
-        return self._inclusion(self.left, tuple(a * nb for a in range(self.left.size)),
-                               self.right)
+        return _zero_padded(self.left, self, tuple(a * nb for a in range(self.left.size)),
+                            self.right)
 
     @cached_property
     def i2(self) -> Homomorphism:
-        return self._inclusion(self.right, tuple(range(self.right.size)), self.left)
-
-    def _inclusion(self, source: FiniteAlgebra, mapping: tuple[int, ...],
-                   padded: FiniteAlgebra) -> Homomorphism:
-        make = Homomorphism._proved if _fixes_zero(padded) else Homomorphism
-        return make(source, self, mapping)
+        return _zero_padded(self.right, self, tuple(range(self.right.size)), self.left)
 
 
 def _fixes_zero(A: FiniteAlgebra) -> bool:
-    """Whether every op of A maps (0, ..., 0), index 0 of its table, to 0.
-    A product is asked through its factors, so no product table is built."""
+    """Whether every op of A maps (0, ..., 0), index 0 of its table, to 0:
+    then ``_zero_padded`` builds a map that commutes but for a part sent to
+    A's 0 unchecked.  A product is asked through its factors, so no product
+    table is built."""
     if isinstance(A, ProductAlgebra):
         return _fixes_zero(A.left) and _fixes_zero(A.right)
     return all(A.tables[name][0] == 0 for name, _ in A.signature.ops)

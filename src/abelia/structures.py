@@ -10,14 +10,14 @@ them over a whole catalog with the preconditions tracked explicitly.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
-                   _hom_tables, coordinates, enumerate_homomorphisms, hom_violation,
-                   op_violation, pointwise, product)
+                   _hom_tables, broken_cell, coordinates, enumerate_homomorphisms,
+                   first_mismatch, hom_violation, op_violation, pointwise, product,
+                   subtraction_cells, unit_cells)
 from .normalproj import _kills_slice, _moved, check_np_pair
 
 
@@ -32,12 +32,8 @@ class InternalSubtraction:
                 or src.right != self.algebra or self.hom.target != self.algebra:
             raise ValueError("subtraction must map product(A, A) into A")
         n = self.algebra.size
-        s = self.hom.mapping
-        for x in range(n):
-            if s[x * n + x] != 0:
-                raise ValueError(f"s({x},{x}) != 0")
-            if s[x * n] != x:
-                raise ValueError(f"s({x},0) != {x}")
+        if (broken := broken_cell(self.hom.mapping, subtraction_cells(n))) is not None:
+            raise ValueError(f"s({broken[0] // n},{broken[0] % n}) != {broken[1]}")
 
     @classmethod
     def _proved(cls, algebra: FiniteAlgebra, hom: Homomorphism) -> "InternalSubtraction":
@@ -63,19 +59,15 @@ def _subtraction_pins(A: FiniteAlgebra,
     """product(A, A) and the pins s(x, x) = 0 and s(x, 0) = x of the
     subtraction search, after the cap check.
 
-    The search backtracks over the |A|^2 table cells with these pinned;
-    homomorphism constraints prune as usual, so every map found is a
-    subtraction.
+    The element (x, y) of P is the table cell x * |A| + y, so the pins are
+    the law's cells.  Homomorphism constraints prune as usual, so every map
+    found is a subtraction.
     """
     caps = caps or DEFAULT_CAPS
     P = product(A, A)
     if P.size > caps.structure_src:
         raise CapExceeded("subtraction search table", P.size, caps.structure_src)
-    pins = {}
-    for x in range(A.size):
-        pins[P.pair(x, x)] = 0
-        pins[P.pair(x, 0)] = x
-    return P, pins
+    return P, dict(subtraction_cells(A.size))
 
 
 def internal_subtraction_tables(A: FiniteAlgebra,
@@ -111,10 +103,10 @@ def verify_group_law(s: InternalSubtraction) -> LawVerdict:
     """Check s(s(x,z), s(y,z)) = s(x,y) over all triples; first failing
     (x, y, z) in lexicographic order is the witness."""
     n = s.algebra.size
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if s(s(x, z), s(y, z)) != s(x, y):
-            return LawVerdict(False, (x, y, z))
-    return LawVerdict(True, None)
+    cols = x, y, z = coordinates((n,) * 3)
+    sub = pointwise(s.hom.mapping, n, 2)
+    witness = first_mismatch(sub([sub([x, z]), sub([y, z])]), sub([x, y]), cols)
+    return LawVerdict(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -148,31 +140,27 @@ class AbelianResult:
 def derive_abelian(s: InternalSubtraction) -> AbelianResult:
     """Build the derived addition and negation and audit the group axioms.
 
-    Axioms are checked in a fixed order (unit, inverse, associativity,
+    Axioms are checked in a fixed order (unit, associativity,
     commutativity, addition-homomorphism) and the first failure is returned
-    with a witness tuple instead of a structure.
+    with the lexicographically first witness instead of a structure.  The
+    inverse axiom needs no check of its own: the unit axiom gives
+    s(0, s(0, x)) = 0 + x = x, so x + (-x) = s(x, x) = 0.
     """
     A = s.algebra
     n = A.size
-    neg = tuple(s(0, x) for x in range(n))
-    add = tuple(s(x, neg[y]) for x in range(n) for y in range(n))
-
-    def plus(x: int, y: int) -> int:
-        return add[x * n + y]
-
-    for x in range(n):
-        if plus(x, 0) != x or plus(0, x) != x:
-            return AbelianResult(None, "unit", (x,))
-    for x in range(n):
-        if plus(x, neg[x]) != 0:
-            return AbelianResult(None, "inverse", (x,))
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if plus(plus(x, y), z) != plus(x, plus(y, z)):
-            return AbelianResult(None, "associativity", (x, y, z))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if plus(x, y) != plus(y, x):
-                return AbelianResult(None, "commutativity", (x, y))
+    x, y = coordinates((n, n))
+    neg = s.hom.mapping[:n]  # s(0, x), the first row
+    sub = pointwise(s.hom.mapping, n, 2)
+    add = tuple(sub([x, pointwise(neg, n, 1)([y])]))
+    if (broken := broken_cell(add, unit_cells(n))) is not None:
+        return AbelianResult(None, "unit", (broken[1],))  # a unit cell's value is its x
+    plus = pointwise(add, n, 2)
+    cols = a, b, c = coordinates((n,) * 3)
+    if (witness := first_mismatch(plus([plus([a, b]), c]), plus([a, plus([b, c])]), cols)):
+        return AbelianResult(None, "associativity", witness)
+    # A first mismatch (x, y) in row-major order has x < y, as (y, x) fails too.
+    if (witness := first_mismatch(plus([x, y]), plus([y, x]), (x, y))):
+        return AbelianResult(None, "commutativity", witness)
     viol = hom_violation(s.hom.source, A, add)
     if viol is not None:
         return AbelianResult(None, "addition-homomorphism", viol[1])

@@ -353,3 +353,46 @@ def condition_e_by_loops(X, targets, parameter_objects):
                         if lhs != rhs:
                             failures.append(((f.mapping, x.mapping), (u,), lhs, rhs))
     return instances, failures
+
+
+def group_law_by_loops(s):
+    """verify_group_law's (holds, witness) by the loop over triples: the
+    first (x, y, z) in lexicographic order with s(s(x,z), s(y,z)) != s(x,y)."""
+    n = s.algebra.size
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if s(s(x, z), s(y, z)) != s(x, y):
+            return False, (x, y, z)
+    return True, None
+
+
+def derive_abelian_by_loops(s):
+    """derive_abelian's (failed axiom, witness, add, neg) by one loop per
+    axiom in the order unit, inverse, associativity, commutativity,
+    addition-homomorphism; the axiom and witness are None when all hold.
+    The last axiom is read through apply() on A x A."""
+    A, P = s.algebra, s.hom.source
+    n = A.size
+    neg = tuple(s(0, x) for x in range(n))
+    add = tuple(s(x, neg[y]) for x in range(n) for y in range(n))
+
+    def plus(x, y):
+        return add[x * n + y]
+
+    for x in range(n):
+        if plus(x, 0) != x or plus(0, x) != x:
+            return "unit", (x,), add, neg
+    for x in range(n):
+        if plus(x, neg[x]) != 0:
+            return "inverse", (x,), add, neg
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if plus(plus(x, y), z) != plus(x, plus(y, z)):
+            return "associativity", (x, y, z), add, neg
+    for x in range(n):
+        for y in range(x + 1, n):
+            if plus(x, y) != plus(y, x):
+                return "commutativity", (x, y), add, neg
+    for opname, arity in P.signature.ops:
+        for args in itertools.product(range(P.size), repeat=arity):
+            if add[P.apply(opname, *args)] != A.apply(opname, *(add[a] for a in args)):
+                return "addition-homomorphism", args, add, neg
+    return None, None, add, neg

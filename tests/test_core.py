@@ -97,6 +97,19 @@ def test_product_canonical_maps_build_no_product_table():
     assert P.i2.mapping == tuple(P.pair(0, b) for b in P.right.elements())
 
 
+def test_derived_maps_build_no_product_table():
+    # An identity, a composite of homomorphisms and a zero map into an
+    # algebra whose ops fix 0 are homomorphisms by construction, so none of
+    # them, nor a factorization through a split epi, builds a product table.
+    Z12 = _cyclic(12, "Z12")
+    P = product(Z12, product(Z12, Z12))
+    assert identity_hom(P).mapping == tuple(P.elements())
+    assert zero_hom(P.left, P).mapping == (0,) * 12
+    assert compose(P.i1, P.p1).mapping == tuple(P.pair(P.split(e)[0], 0) for e in P.elements())
+    assert factor_through_split_epi(P.p1, P.p1, P.i1) == identity_hom(Z12)
+    assert P.tables._built == P.right.tables._built == {"zero": (0,)}
+
+
 def test_product_equality_and_pairing_build_no_product_table(cat):
     # A product's tables are its factors', so products are compared through
     # their names and factors, and <p1, p2> is built without a check.

@@ -199,6 +199,31 @@ def unital_flags(X: FiniteAlgebra) -> list[bool]:
     return [congruences._unital(row, X.size) for row in congruences._plain_rows(X)]
 
 
+def test_plain_rows_put_x_at_each_position_in_row_major_order():
+    # Entry i of row(x) at (op, p) is the op with x at p and the i-th setting
+    # of the other arguments in row-major order; _outer and the lifts rely
+    # on this.  Sizes 7 and 17 take pointwise's nested-table path, 300 also
+    # tuple vectors.
+    rng = random.Random(53)
+    algebras = [A for _, A in generated(60, seed=53)]
+    for n, arities in ((7, (3, 1)), (17, (2,)), (300, (1, 2))):
+        sig = Signature.make(tuple((f"f{k}", k) for k in arities))
+        tables = {f"f{k}": op_table(n, k, lambda *_: rng.randrange(n)) for k in arities}
+        algebras.append(FiniteAlgebra(f"L{n}", n, sig, {ZERO_OP: (0,), **tables}))
+    seen = set()
+    for A in algebras:
+        rows = iter(congruences._plain_rows(A))
+        for opname, arity in A.signature.ops:
+            for p in range(arity):
+                row = next(rows)
+                for x in A.elements():
+                    assert row(x) == [A.apply(opname, *a[:p], x, *a[p:]) for a in
+                                      itertools.product(A.elements(), repeat=arity - 1)]
+                seen.add((arity, p))
+        assert next(rows, None) is None
+    assert seen == {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+
+
 def test_cg_on_products_of_unital_factors_matches_materialised_tables():
     # On a product whose factors are both unital at an op and position,
     # _op_rows returns the factors' generator rows lifted one side at a

@@ -3,7 +3,8 @@
 ``golden_cli.json`` holds the exit code, stdout and stderr of every README
 command and of ``free`` (k = 1, 2), ``subtraction-term`` and ``unit-term``
 on every builtin, and of ``conditions`` b, c, d and e on P2 with failing
-instances, each in text and ``--json`` mode.  A change that moves any byte
+instances, of ``abelian`` on P2 and P3 and of ``crystal`` on P2, P3 and S2,
+each in text and ``--json`` mode.  A change that moves any byte
 of that output fails here.  To regenerate the captures after a change
 that is meant to alter the output:
 
@@ -64,8 +65,16 @@ CONDITIONS = [
     ["conditions", "@builtin:P2", "--which", "e", "--params", "@builtin:P2,@builtin:P3"],
 ]
 
+# Subtraction audits that fail: the unit witness of P2 and P3, and a crystal
+# survey whose anomalies name a group-law witness.
+AUDITS = [
+    ["abelian", "@builtin:P2"],
+    ["abelian", "@builtin:P3"],
+    ["crystal", "@builtin:P2", "@builtin:P3", "@builtin:S2"],
+]
+
 COMMANDS = [list(argv) for argv in dict.fromkeys(
-    tuple(argv + mode) for argv in README + PER_BUILTIN + CONDITIONS
+    tuple(argv + mode) for argv in README + PER_BUILTIN + CONDITIONS + AUDITS
     for mode in ([], ["--json"]))]
 
 

@@ -2,14 +2,15 @@ import itertools
 
 import pytest
 
-from abelia import (Caps, CapExceeded, Homomorphism, InternalSubtraction,
+from abelia import (POINTED, Caps, CapExceeded, FiniteAlgebra, Homomorphism,
+                    InternalSubtraction,
                     check_homomorphic, check_np_pair, crystallographic_report,
                     derive_abelian, enumerate_homomorphisms,
                     find_internal_subtractions, identity_hom,
                     internal_subtraction_tables, op_table,
                     product, verify_group_law, verify_proof_construction_1,
                     verify_proof_construction_2, zero_hom)
-from oracles import brute_subtraction_tables
+from oracles import brute_subtraction_tables, derive_abelian_by_loops, group_law_by_loops
 
 
 @pytest.mark.parametrize("name,count", [
@@ -102,6 +103,48 @@ def test_derive_abelian_p2(cat):
     good = derive_abelian(second)
     assert good.ok
     assert good.structure.add == (0, 1, 1, 0)
+
+
+def s3_subtraction() -> InternalSubtraction:
+    """s(x, y) = x y^-1 of the symmetric group S3 on a 6-element pointed
+    set, the identity permutation numbered 0: a subtraction whose derived
+    addition is S3's product, so the audit stops at commutativity."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def over(x, y):
+        inv = [0] * 3
+        for i, v in enumerate(perms[y]):
+            inv[v] = i
+        return index[tuple(perms[x][inv[i]] for i in range(3))]
+
+    P6 = FiniteAlgebra("P6", 6, POINTED, {"zero": (0,)})
+    return InternalSubtraction(P6, Homomorphism(product(P6, P6), P6, op_table(6, 2, over)))
+
+
+def test_audits_match_the_loops(cat):
+    # verify_group_law and derive_abelian compare whole columns; the loops
+    # they replaced are the oracles for verdict, witness, failed axiom, add
+    # and neg.  The inverse axiom cannot fail once the unit axiom holds.
+    P4 = FiniteAlgebra("P4", 4, POINTED, {"zero": (0,)})
+    PP4 = product(P4, P4)
+    p4 = [InternalSubtraction._proved(P4, Homomorphism._proved(PP4, P4, t)) for t in
+          itertools.islice(internal_subtraction_tables(P4, Caps(structure_src=16)), 0, None, 997)]
+    subs = find_internal_subtractions(cat["P3"]) + p4 + [s3_subtraction()]
+    for name in ("Z2", "Z3", "Z4", "V4"):
+        subs += find_internal_subtractions(cat[name])
+    outcomes = {}
+    for s in subs:
+        verdict = verify_group_law(s)
+        assert (verdict.holds, verdict.witness) == group_law_by_loops(s), s.hom.mapping
+        axiom, witness, add, neg = derive_abelian_by_loops(s)
+        result = derive_abelian(s)
+        assert (result.failed_axiom, result.witness) == (axiom, witness), s.hom.mapping
+        if axiom is None:
+            assert (result.structure.add, result.structure.neg) == (add, neg)
+        outcomes[axiom] = outcomes.get(axiom, 0) + 1
+    assert len(p4) == 263
+    assert set(outcomes) == {None, "unit", "associativity", "commutativity"}, outcomes
 
 
 def test_check_homomorphic(cat):
