@@ -23,10 +23,8 @@ from .clones import find_subtraction_term, find_unit_term
 from .congruences import all_congruences
 from .core import (AbeliaError, CapExceeded, FiniteAlgebra, free_algebra,
                    parse_algebra, serialize_algebra, vector_type)
-from .normalproj import (ConditionReport, check_condition_b,
-                         check_condition_d_instances,
-                         check_condition_e_instances, check_np_pair,
-                         centralic_check, shifting_shape_check)
+from .normalproj import (centralic_check, check_condition_b, check_condition_d_instances,
+                         check_condition_e_instances, check_np_pair, shifting_shape_check)
 from .structures import (crystallographic_report, derive_abelian,
                          find_internal_subtractions, internal_subtraction_tables)
 
@@ -66,8 +64,7 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
-def _np_like(args, caps: Caps, check: str, A: FiniteAlgebra, B: FiniteAlgebra,
-             verdict) -> int:
+def _np_like(args, check: str, A: FiniteAlgebra, B: FiniteAlgebra, verdict) -> int:
     if verdict.holds:
         head = f"{check}({A.name}, {B.name}): holds"
         witness = None
@@ -83,16 +80,11 @@ def _np_like(args, caps: Caps, check: str, A: FiniteAlgebra, B: FiniteAlgebra,
     return 0 if verdict.holds else 1
 
 
-def _cmd_np(args, caps: Caps) -> int:
+def _pair_law(args, caps: Caps, decide) -> int:
+    """``np`` and ``shifting``: decide the law for (A, B) and print the verdict."""
     A = _resolve(args, args.a)
     B = _resolve(args, args.b)
-    return _np_like(args, caps, "np", A, B, check_np_pair(A, B, caps))
-
-
-def _cmd_shifting(args, caps: Caps) -> int:
-    A = _resolve(args, args.a)
-    B = _resolve(args, args.b)
-    return _np_like(args, caps, "shifting", A, B, shifting_shape_check(A, B, caps))
+    return _np_like(args, args.command, A, B, decide(A, B, caps))
 
 
 def _failure_json(fail) -> dict:
@@ -124,12 +116,6 @@ def _failures(args, check: str, head: str, names, report) -> int:
     return 0 if report.ok else 1
 
 
-def _condition_report(args, check: str, names, report: ConditionReport) -> int:
-    head = (f"condition {report.condition} on ({', '.join(names)}): "
-            f"instances={report.instances} failures={len(report.failures)}")
-    return _failures(args, check, head, names, report)
-
-
 def _cmd_conditions(args, caps: Caps) -> int:
     which = args.which
     if args.params is not None and which not in ("d", "e"):
@@ -138,28 +124,24 @@ def _cmd_conditions(args, caps: Caps) -> int:
     sources = [_resolve(args, s) for s in args.sources]
     params = ([_resolve(args, s) for s in args.params.split(",")]
               if args.params else None)
+    A = sources[0]
+    B = sources[1] if len(sources) > 1 else A
     if which == "a":
         if len(sources) > 2:
             print("error: condition a takes at most two algebras", file=sys.stderr)
             return 2
-        A = sources[0]
-        B = sources[1] if len(sources) > 1 else A
-        return _np_like(args, caps, "condition-a", A, B, check_np_pair(A, B, caps))
-    if which in ("b", "c"):
-        X = sources[0]
-        targets = sources[1:] or [X]
-        report = check_condition_b(X, targets, caps, tag=which)
-        return _condition_report(args, f"condition-{which}", [X.name], report)
+        return _np_like(args, "condition-a", A, B, check_np_pair(A, B, caps))
     if which == "d":
-        A = sources[0]
-        B = sources[1] if len(sources) > 1 else A
-        targets = sources[2:] or [A]
-        report = check_condition_d_instances(A, B, targets, params or [A], caps)
-        return _condition_report(args, "condition-d", [A.name, B.name], report)
-    X = sources[0]
-    targets = sources[1:] or [X]
-    report = check_condition_e_instances(X, targets, params or [X], caps)
-    return _condition_report(args, "condition-e", [X.name], report)
+        names = [A.name, B.name]
+        report = check_condition_d_instances(A, B, sources[2:] or [A], params or [A], caps)
+    else:
+        names = [A.name]
+        targets = sources[1:] or [A]
+        report = (check_condition_e_instances(A, targets, params or [A], caps) if which == "e"
+                  else check_condition_b(A, targets, caps, tag=which))
+    head = (f"condition {report.condition} on ({', '.join(names)}): "
+            f"instances={report.instances} failures={len(report.failures)}")
+    return _failures(args, f"condition-{which}", head, names, report)
 
 
 def _cmd_centralic(args, caps: Caps) -> int:
@@ -171,7 +153,8 @@ def _cmd_centralic(args, caps: Caps) -> int:
     return _failures(args, "centralic", head, [A.name, B.name], report)
 
 
-def _term_search(args, caps: Caps, check: str, label: str, finder) -> int:
+def _term_search(args, caps: Caps, label: str, finder) -> int:
+    """``subtraction-term`` and ``unit-term``: run the clone search."""
     A = _resolve(args, args.a)
     result = finder(A, caps)
     if result.status == "found":
@@ -194,19 +177,10 @@ def _term_search(args, caps: Caps, check: str, label: str, finder) -> int:
         witness = None
         code = 3
     _emit(args,
-          lambda: _payload(check, [A.name], holds, witness, result.explored,
+          lambda: _payload(args.command, [A.name], holds, witness, result.explored,
                            status=result.status),
           lambda: lines)
     return code
-
-
-def _cmd_subtraction_term(args, caps: Caps) -> int:
-    return _term_search(args, caps, "subtraction-term", "subtraction term",
-                        find_subtraction_term)
-
-
-def _cmd_unit_term(args, caps: Caps) -> int:
-    return _term_search(args, caps, "unit-term", "unit term", find_unit_term)
 
 
 # Tables of internal-subtractions output are written this many at a time.
@@ -373,20 +347,66 @@ def _cmd_free(args, caps: Caps) -> int:
     return 0
 
 
-def _cmd_catalog(args, caps: Caps) -> int:
-    if args.action == "list":
-        names = list_builtins()
-        _emit(args,
-              lambda: _payload("catalog-list", [], None, None, len(names), names=names),
-              lambda: names)
-        return 0
-    text = serialize_algebra(builtin(args.name).algebra)
-    if args.json:
-        print(json.dumps(_payload("catalog-export", [args.name], None, None, 1,
-                                  text=text), sort_keys=True))
-    else:
-        sys.stdout.write(text)
+def _cmd_catalog_list(args, caps: Caps) -> int:
+    names = list_builtins()
+    _emit(args,
+          lambda: _payload("catalog-list", [], None, None, len(names), names=names),
+          lambda: names)
     return 0
+
+
+def _cmd_catalog_export(args, caps: Caps) -> int:
+    text = serialize_algebra(builtin(args.name).algebra)
+    _emit(args,
+          lambda: _payload("catalog-export", [args.name], None, None, 1, text=text),
+          text.splitlines)
+    return 0
+
+
+# Every subcommand, once: (name, help, arguments as (flag, argparse
+# keywords), handler), in the order of ``abelia --help``.  A handler takes
+# (args, caps) and returns the exit code.  The handlers look the library
+# functions up when they run, not at import, so they see a rebinding of
+# those names, such as a tracer's.
+_A, _B = ("a", {}), ("b", {})
+COMMANDS = (
+    ("np", "decide the pair-level projection law for (A, B)", (_A, _B),
+     lambda args, caps: _pair_law(args, caps, check_np_pair)),
+    ("conditions", "run one of the condition variants a-e", (
+        ("sources", {"nargs": "+", "help": "algebras: X [targets...] for b/c/e, "
+                                           "A B [targets...] for d"}),
+        ("--which", {"required": True, "choices": list("abcde")}),
+        ("--params", {"help": "comma-separated parameter objects for d/e"})),
+     _cmd_conditions),
+    ("shifting", "decide the law by scanning the whole congruence lattice", (_A, _B),
+     lambda args, caps: _pair_law(args, caps, shifting_shape_check)),
+    ("centralic", "check slice-collapse translation over every congruence", (_A, _B),
+     _cmd_centralic),
+    ("subtraction-term", "search the binary clone part for s(x,x)=0, s(x,0)=x", (_A,),
+     lambda args, caps: _term_search(args, caps, "subtraction term", find_subtraction_term)),
+    ("unit-term", "search the binary clone part for p(x,0)=x=p(0,x)", (_A,),
+     lambda args, caps: _term_search(args, caps, "unit term", find_unit_term)),
+    ("internal-subtractions", "enumerate homomorphic subtractions on A", (_A,),
+     _cmd_internal_subtractions),
+    ("abelian", "derive and audit the abelian structure of A", (_A,), _cmd_abelian),
+    ("crystal", "survey a catalog for abelian-object structure",
+     (("sources", {"nargs": "+"}),), _cmd_crystal),
+    ("congruences", "list the congruence lattice of A", (_A,), _cmd_congruences),
+    ("free", "build the k-generated free algebra over A", (_A, ("k", {"type": int})),
+     _cmd_free),
+)
+CATALOG = (
+    ("list", "list builtin names", (), _cmd_catalog_list),
+    ("export", "print a builtin in the file format", (("name", {}),), _cmd_catalog_export),
+)
+
+
+def _add_commands(sub, table, common) -> None:
+    for name, help, arguments, handler in table:
+        p = sub.add_parser(name, parents=[common], help=help)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
 
 
 @functools.cache
@@ -402,79 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit one line of JSON against the verdict schema")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("np", parents=[common],
-                       help="decide the pair-level projection law for (A, B)")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_np)
-
-    p = sub.add_parser("conditions", parents=[common],
-                       help="run one of the condition variants a-e")
-    p.add_argument("sources", nargs="+",
-                   help="algebras: X [targets...] for b/c/e, A B [targets...] for d")
-    p.add_argument("--which", required=True, choices=list("abcde"))
-    p.add_argument("--params", default=None,
-                   help="comma-separated parameter objects for d/e")
-    p.set_defaults(handler=_cmd_conditions)
-
-    p = sub.add_parser("shifting", parents=[common],
-                       help="decide the law by scanning the whole congruence lattice")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_shifting)
-
-    p = sub.add_parser("centralic", parents=[common],
-                       help="check slice-collapse translation over every congruence")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_centralic)
-
-    p = sub.add_parser("subtraction-term", parents=[common],
-                       help="search the binary clone part for s(x,x)=0, s(x,0)=x")
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_subtraction_term)
-
-    p = sub.add_parser("unit-term", parents=[common],
-                       help="search the binary clone part for p(x,0)=x=p(0,x)")
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_unit_term)
-
-    p = sub.add_parser("internal-subtractions", parents=[common],
-                       help="enumerate homomorphic subtractions on A")
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_internal_subtractions)
-
-    p = sub.add_parser("abelian", parents=[common],
-                       help="derive and audit the abelian structure of A")
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_abelian)
-
-    p = sub.add_parser("crystal", parents=[common],
-                       help="survey a catalog for abelian-object structure")
-    p.add_argument("sources", nargs="+")
-    p.set_defaults(handler=_cmd_crystal)
-
-    p = sub.add_parser("congruences", parents=[common],
-                       help="list the congruence lattice of A")
-    p.add_argument("a")
-    p.set_defaults(handler=_cmd_congruences)
-
-    p = sub.add_parser("free", parents=[common],
-                       help="build the k-generated free algebra over A")
-    p.add_argument("a")
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_free)
-
-    p = sub.add_parser("catalog", help="builtin fixtures")
-    csub = p.add_subparsers(dest="action", required=True)
-    lp = csub.add_parser("list", parents=[common], help="list builtin names")
-    lp.set_defaults(handler=_cmd_catalog)
-    ep = csub.add_parser("export", parents=[common],
-                         help="print a builtin in the file format")
-    ep.add_argument("name")
-    ep.set_defaults(handler=_cmd_catalog)
-
+    _add_commands(sub, COMMANDS, common)
+    catalog = sub.add_parser("catalog", help="builtin fixtures")
+    _add_commands(catalog.add_subparsers(dest="action", required=True), CATALOG, common)
     return parser
 
 

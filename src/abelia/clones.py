@@ -31,7 +31,7 @@ class Term:
     @property
     def op_nodes(self) -> int:
         """Operation symbols used, not counting variables."""
-        own = 0 if self.head.startswith("x") and self.head[1:].isdigit() else 1
+        own = 0 if self.head.startswith("x") and self.head[1:].isdecimal() else 1
         return own + sum(t.op_nodes for t in self.args)
 
     def __str__(self):

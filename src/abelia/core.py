@@ -73,7 +73,8 @@ ZERO_OP = "zero"
 
 @dataclass(frozen=True)
 class Signature:
-    """Operation names with arities.  Always contains the nullary ``zero``."""
+    """Operation names with arities.  Always contains the nullary ``zero``.
+    Names of the form ``x<digits>`` are the variables of terms, not ops."""
 
     ops: tuple[tuple[str, int], ...]
 
@@ -84,6 +85,8 @@ class Signature:
         for name, arity in self.ops:
             if not name or "#" in name or any(c.isspace() for c in name):
                 raise InvalidAlgebra(f"bad operation name {name!r}")
+            if name[0] == "x" and name[1:].isdecimal():
+                raise InvalidAlgebra(f"operation name {name!r} is a term variable")
             if arity < 0:
                 raise InvalidAlgebra(f"negative arity for {name!r}")
         if (ZERO_OP, 0) not in self.ops:

@@ -210,16 +210,15 @@ def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
 
     Agrees with check_np_pair by construction (the generated congruence is
     the finest one quantified over), but computes the verdict independently.
-    The returned theta is the generated congruence, as in check_np_pair.
+    The returned theta is the generated congruence, as in check_np_pair: the
+    lattice lists congruences with more blocks first, and every congruence
+    that collapses the slice contains it, so it is the first of them.
     """
-    caps = caps or DEFAULT_CAPS
     P = product(A, B)
-    # The lattice build checks the lattice carrier cap and then cg's own
-    # carrier cap before any work, so it goes first and cg cannot refuse.
-    holds = _shifting_holds(P, all_congruences(P, caps))
-    theta_star = cg(P, _np_generators(P), caps)
-    witness = _np_witness(P, theta_star) if not holds else None
-    return NpVerdict(holds, theta_star, witness)
+    lattice = all_congruences(P, caps)
+    holds = _shifting_holds(P, lattice)
+    theta = next(t for t in lattice if _kills_slice(t.rep, P.right.size, range(P.left.size)))
+    return NpVerdict(holds, theta, None if holds else _np_witness(P, theta))
 
 
 def _centralic_violations(P: ProductAlgebra, lattice: list[Congruence]):

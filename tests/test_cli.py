@@ -390,6 +390,16 @@ def test_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_op_named_like_a_term_variable_is_an_input_error(capsys, tmp_path):
+    # m is x + y on Z2, a subtraction term; a nullary op named x1 used to
+    # stand in for the variable x1 and give a false "none".
+    path = tmp_path / "q.alg"
+    path.write_text("algebra Q\nsize 2\nzero 0\nop x1 0\n1\nop m 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "subtraction-term", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "x1" in err
+
+
 def test_bad_caps_env(capsys, monkeypatch):
     monkeypatch.setenv("ABELIA_CAPS", "bogus=1")
     code, out, err = run(capsys, "np", "@builtin:Z2", "@builtin:Z2")

@@ -15,6 +15,8 @@ def test_term_rendering_and_counts():
     assert t.op_nodes == 2
     assert str(Term("zero")) == "0"
     assert Term("x2").op_nodes == 0
+    # "\u00b2" is a digit but no decimal: evaluate_term reads "x\u00b2" as an op
+    assert Term("x\u00b2").op_nodes == 1
 
 
 def test_evaluate_term(cat):

@@ -36,6 +36,19 @@ def test_signature_rejects_bad_names():
         Signature.make((("f", -1),))
 
 
+@pytest.mark.parametrize("name", ["x0", "x1", "x12"])
+def test_signature_reserves_term_variable_names(name):
+    # evaluate_term reads x<digits> as a variable, so an op of that name
+    # would be lost from every term.
+    with pytest.raises(InvalidAlgebra, match="term variable"):
+        Signature.make(((name, 0),))
+
+
+@pytest.mark.parametrize("name", ["x", "xy", "x1a", "x\u00b2", "y1"])
+def test_signature_allows_names_that_are_no_term_variable(name):
+    assert Signature.make(((name, 1),)).arity(name) == 1
+
+
 def test_algebra_validation():
     with pytest.raises(InvalidAlgebra):
         FiniteAlgebra("X", 2, POINTED, {"zero": (1,)})

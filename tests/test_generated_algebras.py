@@ -22,7 +22,7 @@ from abelia import (DEFAULT_CAPS, Caps, CapExceeded, Congruence, FiniteAlgebra,
                     hom_violation, join, list_builtins, parse_algebra,
                     product, quotient, serialize_algebra,
                     shifting_shape_check)
-from abelia import congruences
+from abelia import congruences, normalproj
 from abelia.catalog import _cyclic
 from abelia.clones import evaluate_term
 from abelia.core import (ZERO_OP, concat, coordinates, op_table, op_violation,
@@ -630,6 +630,24 @@ def test_shifting_and_centralic_agree_with_np():
         checked += 1
         fails += not verdict.holds
     assert checked >= 40 and fails >= 5 and centralic_ok >= 10
+
+
+def test_shifting_generates_no_congruence(monkeypatch):
+    # shifting reads theta off the lattice, where the generated congruence is
+    # the first that collapses the slice; the verdict is still check_np_pair's.
+    builtins = [builtin(name).algebra for name in list_builtins()]
+    pairs = list(small_pairs(seed=67)) + [
+        (A, B) for A in builtins for B in builtins
+        if A.signature == B.signature and A.size * B.size <= DEFAULT_CAPS.lattice]
+    expected = [check_np_pair(A, B) for A, B in pairs]
+    assert sum(v.holds for v in expected) >= 20 and sum(not v.holds for v in expected) >= 10
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("shifting_shape_check called cg")
+
+    monkeypatch.setattr(normalproj, "cg", no_cg)
+    for (A, B), verdict in zip(pairs, expected):
+        assert shifting_shape_check(A, B) == verdict, (A.name, B.name)
 
 
 def centralic_by_loops(A, B):

@@ -3,8 +3,9 @@
 ``golden_cli.json`` holds the exit code, stdout and stderr of every README
 command and of ``free`` (k = 1, 2), ``subtraction-term`` and ``unit-term``
 on every builtin, and of ``conditions`` b, c, d and e on P2 with failing
-instances, of ``abelian`` on P2 and P3 and of ``crystal`` on P2, P3 and S2,
-each in text and ``--json`` mode.  A change that moves any byte
+instances, of ``abelian`` on P2 and P3, of ``crystal`` on P2, P3 and S2
+and of ``shifting`` on Z3 and Z3, a case that holds, each in text and
+``--json`` mode.  A change that moves any byte
 of that output fails here.  To regenerate the captures after a change
 that is meant to alter the output:
 
@@ -73,8 +74,11 @@ AUDITS = [
     ["crystal", "@builtin:P2", "@builtin:P3", "@builtin:S2"],
 ]
 
+# The lattice scan on a pair where the law holds, with its theta blocks.
+SHIFTING = [["shifting", "@builtin:Z3", "@builtin:Z3"]]
+
 COMMANDS = [list(argv) for argv in dict.fromkeys(
-    tuple(argv + mode) for argv in README + PER_BUILTIN + CONDITIONS + AUDITS
+    tuple(argv + mode) for argv in README + PER_BUILTIN + CONDITIONS + AUDITS + SHIFTING
     for mode in ([], ["--json"]))]
 
 

@@ -125,7 +125,8 @@ def s3_subtraction() -> InternalSubtraction:
 def test_audits_match_the_loops(cat):
     # verify_group_law and derive_abelian compare whole columns; the loops
     # they replaced are the oracles for verdict, witness, failed axiom, add
-    # and neg.  The inverse axiom cannot fail once the unit axiom holds.
+    # and neg.  The inverse axiom cannot fail once the unit axiom holds, nor
+    # can the addition-homomorphism axiom, so neither outcome occurs.
     P4 = FiniteAlgebra("P4", 4, POINTED, {"zero": (0,)})
     PP4 = product(P4, P4)
     p4 = [InternalSubtraction._proved(P4, Homomorphism._proved(PP4, P4, t)) for t in
