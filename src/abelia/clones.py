@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
 from .core import (FiniteAlgebra, ZERO_OP, broken_cell, concat, coordinates, pointwise,
-                   split, subtraction_cells, unit_cells, vector_type)
+                   split, subtraction_cells, term_variable, unit_cells, vector_type)
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Term:
     @property
     def op_nodes(self) -> int:
         """Operation symbols used, not counting variables."""
-        own = 0 if self.head.startswith("x") and self.head[1:].isdecimal() else 1
+        own = 0 if term_variable(self.head) is not None else 1
         return own + sum(t.op_nodes for t in self.args)
 
     def __str__(self):
@@ -57,8 +57,8 @@ def evaluate_term(A: FiniteAlgebra, term: Term, k: int) -> tuple[int, ...]:
             if arity == 0:
                 return vector_type(n)(A.tables[t.head] * n ** k)
             return pointwise(A.tables[t.head], n, arity)([run(s) for s in t.args])
-        i = int(t.head[1:]) if t.head.startswith("x") and t.head[1:].isdecimal() else 0
-        if not 1 <= i <= k:
+        i = term_variable(t.head)
+        if i is None or not 1 <= i <= k:
             raise ValueError(f"unknown symbol {t.head!r} in a {k}-ary term")
         return variables[i - 1]
 
@@ -170,18 +170,16 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
 
 
 def generate_term_ops(A: FiniteAlgebra, arity: int,
-                      caps: Caps | None = None) -> TermOps:
+                      caps: Caps = DEFAULT_CAPS) -> TermOps:
     """All k-ary term operations of A, up to the table cap."""
-    caps = caps or DEFAULT_CAPS
     if arity < 0:
         raise ValueError("arity must be non-negative")
     ops, complete, _ = _closure(A, arity, caps.clone_tables)
     return TermOps(arity, tuple(ops), complete)
 
 
-def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, cells) -> TermSearch:
+def _binary_term_search(A: FiniteAlgebra, caps: Caps, cells) -> TermSearch:
     """Search the binary clone part for a table that holds every cell."""
-    caps = caps or DEFAULT_CAPS
     ops, complete, hit = _closure(A, 2, caps.clone_tables,
                                   stop=lambda op: broken_cell(op.table, cells) is None)
     if hit is not None:
@@ -189,11 +187,11 @@ def _binary_term_search(A: FiniteAlgebra, caps: Caps | None, cells) -> TermSearc
     return TermSearch("none" if complete else "unknown", None, len(ops))
 
 
-def find_subtraction_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
+def find_subtraction_term(A: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> TermSearch:
     """Search the binary clone part for s with s(x,x)=0 and s(x,0)=x."""
     return _binary_term_search(A, caps, subtraction_cells(A.size))
 
 
-def find_unit_term(A: FiniteAlgebra, caps: Caps | None = None) -> TermSearch:
+def find_unit_term(A: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> TermSearch:
     """Search the binary clone part for p with p(x,0)=x and p(0,x)=x."""
     return _binary_term_search(A, caps, unit_cells(A.size))

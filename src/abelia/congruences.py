@@ -97,10 +97,10 @@ def _op_rows(A: FiniteAlgebra) -> list:
     the identity is one.  So a link of Z12 x Z12^2 scans 2 * (12 + 144) + 1
     entries instead of 2 * 1,728 + 1, or 2 * (12 + 12 + 12) + 1 when Z12^2
     is itself a product.  Where a factor is not unital at (f, p), the
-    product falls back to the outer sum of its factors' full rows.  A
-    homomorphism search from a product must check every argument tuple,
-    not only generators, so it reads the full rows, the first entries of
-    ``_product_rows``, never these.
+    product falls back to the outer sum of its factors' full rows.  No
+    homomorphism search reads these rows yet.  One from a product would
+    have to check every argument tuple, not only generators, so it would
+    read the full rows, the first entries of ``_product_rows``, never these.
     """
     if isinstance(A, ProductAlgebra):
         return [row for _, gens, _ in _product_rows(A) for row in gens]
@@ -242,9 +242,8 @@ def _close(rows, n: int, pairs) -> tuple[int, ...]:
     return tuple(parent)
 
 
-def cg(A: FiniteAlgebra, pairs, caps: Caps | None = None) -> Congruence:
+def cg(A: FiniteAlgebra, pairs, caps: Caps = DEFAULT_CAPS) -> Congruence:
     """The least congruence of A identifying every pair in ``pairs``."""
-    caps = caps or DEFAULT_CAPS
     n = A.size
     if n > caps.cg:
         raise CapExceeded("congruence generation carrier", n, caps.cg)
@@ -264,7 +263,7 @@ def kernel_congruence(h: Homomorphism) -> Congruence:
 
 
 def join(A: FiniteAlgebra, t1: Congruence, t2: Congruence,
-         caps: Caps | None = None) -> Congruence:
+         caps: Caps = DEFAULT_CAPS) -> Congruence:
     """The least congruence containing both."""
     if not t1.size == t2.size == A.size:
         raise ValueError("congruences live on different carriers")
@@ -285,14 +284,13 @@ def meet(t1: Congruence, t2: Congruence) -> Congruence:
     return Congruence(t1.size, tuple(rep))
 
 
-def all_congruences(A: FiniteAlgebra, caps: Caps | None = None) -> list[Congruence]:
+def all_congruences(A: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Congruence]:
     """Every congruence of A, sorted by block count descending then rep table.
 
     The discrete congruence comes first and the all-pairs congruence last.
     A lattice of more than ``caps.lattice_count`` congruences is refused as
     soon as the build passes that many.
     """
-    caps = caps or DEFAULT_CAPS
     if A.size > caps.lattice:
         raise CapExceeded("congruence lattice carrier", A.size, caps.lattice)
     return _build_lattice(A, caps)

@@ -71,6 +71,12 @@ class CapExceeded(AbeliaError):
 ZERO_OP = "zero"
 
 
+def term_variable(name: str) -> int | None:
+    """The index i of a term variable ``x<i>`` (decimal digits after the
+    x), or None for any other name."""
+    return int(name[1:]) if name[:1] == "x" and name[1:].isdecimal() else None
+
+
 @dataclass(frozen=True)
 class Signature:
     """Operation names with arities.  Always contains the nullary ``zero``.
@@ -85,7 +91,7 @@ class Signature:
         for name, arity in self.ops:
             if not name or "#" in name or any(c.isspace() for c in name):
                 raise InvalidAlgebra(f"bad operation name {name!r}")
-            if name[0] == "x" and name[1:].isdecimal():
+            if term_variable(name) is not None:
                 raise InvalidAlgebra(f"operation name {name!r} is a term variable")
             if arity < 0:
                 raise InvalidAlgebra(f"negative arity for {name!r}")
@@ -638,14 +644,13 @@ def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homo
 
 
 def free_algebra(A: FiniteAlgebra, k: int,
-                 caps: Caps | None = None) -> tuple[FiniteAlgebra, list[int]]:
+                 caps: Caps = DEFAULT_CAPS) -> tuple[FiniteAlgebra, list[int]]:
     """The k-generated free algebra in the variety generated by A.
 
     Realized as the subalgebra of A**(A**k) generated by the k coordinate
     projections; returns the algebra (element 0 is the constant-zero vector)
     and the indices of the generators.
     """
-    caps = caps or DEFAULT_CAPS
     if k < 0:
         raise ValueError("need a non-negative number of generators")
     if k > caps.free_positions:
@@ -660,7 +665,7 @@ def free_algebra(A: FiniteAlgebra, k: int,
 
 
 def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
-             caps: Caps | None = None, *,
+             caps: Caps = DEFAULT_CAPS, *,
              name: str | None = None) -> tuple[FiniteAlgebra, list[int], list]:
     """The subalgebra of A**m generated by the given vectors of length m
     (m = 1 when there are none: then it is generated by A's constants).
@@ -671,7 +676,6 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
     elements of each closure round in the order they are met.
     ``caps.free_carrier`` bounds the carrier.
     """
-    caps = caps or DEFAULT_CAPS
     n = A.size
     # Carrier vectors are interned as ``vector_type(n)``: every key of
     # ``index`` has that one type, so equal vectors meet as equal keys.

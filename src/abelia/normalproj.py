@@ -82,7 +82,7 @@ def _np_witness(P: ProductAlgebra, theta: Congruence) -> tuple[int, int] | None:
 
 
 def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
-                  caps: Caps | None = None) -> NpVerdict:
+                  caps: Caps = DEFAULT_CAPS) -> NpVerdict:
     """Decide the normal-projection law for the pair (A, B).
 
     Generates theta = cg({((a,0),(0,0))}) on A x B and tests whether every
@@ -90,7 +90,6 @@ def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
     target at once: a homomorphism killing the first inclusion has kernel
     containing theta, and the quotient by theta realizes the extreme case.
     """
-    caps = caps or DEFAULT_CAPS
     P = product(A, B)
     theta = cg(P, _np_generators(P), caps)
     witness = _np_witness(P, theta)
@@ -135,7 +134,7 @@ def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
 
 
 def check_condition_b(X: FiniteAlgebra, targets: list[FiniteAlgebra],
-                      caps: Caps | None = None, tag: str = "b") -> ConditionReport:
+                      caps: Caps = DEFAULT_CAPS, tag: str = "b") -> ConditionReport:
     """Elementwise diagonal condition on X.
 
     For every homomorphism f: X x X -> C (over the listed targets) with
@@ -145,13 +144,13 @@ def check_condition_b(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     P = product(X, X)
     pins = {P.pair(x, 0): 0 for x in range(X.size)}
     identity = [((), range(X.size), range(X.size))]
-    return _element_report(tag, P, targets, [X], lambda _: identity, caps or DEFAULT_CAPS, pins)
+    return _element_report(tag, P, targets, [X], lambda _: identity, caps, pins)
 
 
 def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
                                 targets: list[FiniteAlgebra],
                                 parameter_objects: list[FiniteAlgebra],
-                                caps: Caps | None = None) -> ConditionReport:
+                                caps: Caps = DEFAULT_CAPS) -> ConditionReport:
     """Generalized-element condition on the pair (A, B).
 
     For every f: A x B -> C and homomorphisms a: X -> A, b: X -> B from each
@@ -159,7 +158,6 @@ def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
     f(a(x), b(x)) = f(0, b(x)) for all x.  An instance is one (f, a, b)
     triple whose premise holds.
     """
-    caps = caps or DEFAULT_CAPS
 
     def elements(X: FiniteAlgebra) -> list:
         if X.signature != A.signature:
@@ -175,13 +173,12 @@ def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
 
 def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
                                 parameter_objects: list[FiniteAlgebra],
-                                caps: Caps | None = None) -> ConditionReport:
+                                caps: Caps = DEFAULT_CAPS) -> ConditionReport:
     """The diagonal instance of the generalized-element condition.
 
     As condition d with A = B = X and a = b = x ranging over homomorphisms
     from each parameter object into X.
     """
-    caps = caps or DEFAULT_CAPS
 
     def elements(U: FiniteAlgebra) -> list:
         if U.signature != X.signature:
@@ -203,7 +200,7 @@ def _shifting_holds(P: ProductAlgebra, lattice: list[Congruence]) -> bool:
 
 
 def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
-                         caps: Caps | None = None) -> NpVerdict:
+                         caps: Caps = DEFAULT_CAPS) -> NpVerdict:
     """Decide the pair-level law by quantifying over the whole congruence
     lattice of A x B: every congruence collapsing the slice {(a, 0)} to the
     point must relate each (a, b) to (0, b).
@@ -242,7 +239,7 @@ def _centralic_violations(P: ProductAlgebra, lattice: list[Congruence]):
 
 
 def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
-                    caps: Caps | None = None) -> ConditionReport:
+                    caps: Caps = DEFAULT_CAPS) -> ConditionReport:
     """Translation-invariance of slice collapses, over every congruence.
 
     For each congruence theta of A x B and elements x, y of A, z of B:
@@ -287,7 +284,7 @@ class CrossCheckReport:
 def cross_check_conditions(catalog: list[FiniteAlgebra],
                            parameter_objects: list[FiniteAlgebra] | None = None,
                            targets: list[FiniteAlgebra] | None = None,
-                           caps: Caps | None = None) -> CrossCheckReport:
+                           caps: Caps = DEFAULT_CAPS) -> CrossCheckReport:
     """Check the implication web between the condition variants.
 
     On every same-signature pair within caps: the lattice-quantified check
@@ -295,9 +292,12 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
     come with the pair-level law; and when the law holds for the pair, no
     generalized-element instance with a parameter object X whose own
     diagonal law holds may fail.  Sub-checks beyond caps are skipped, not
-    failed.
+    failed: a pair whose ``check_np_pair`` is refused is left out, a lattice
+    refused by any cap (``lattice_count`` included) leaves
+    ``shifting_holds`` and ``centralic_ok`` None, and a parameter object
+    whose condition-d check is refused adds no instances.  Targets above
+    ``caps.hom_tgt`` are dropped and the others still run.
     """
-    caps = caps or DEFAULT_CAPS
     params = parameter_objects if parameter_objects is not None else list(catalog)
     target_pool = targets if targets is not None else list(catalog)
     pairs: list[PairCrossCheck] = []
@@ -307,15 +307,17 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
         for B in ordered:
             if A.signature != B.signature:
                 continue
-            P_size = A.size * B.size
-            if P_size > caps.cg:
+            try:
+                np = check_np_pair(A, B, caps)
+            except CapExceeded:
                 continue
-            np = check_np_pair(A, B, caps)
-            shifting = centralic = None
-            if P_size <= caps.lattice:
+            P = product(A, B)
+            try:
                 # One lattice serves both scans.
-                P = product(A, B)
                 lattice = all_congruences(P, caps)
+            except CapExceeded:
+                shifting = centralic = None
+            else:
                 shifting = _shifting_holds(P, lattice)
                 if shifting != np.holds:
                     discrepancies.append(
@@ -327,16 +329,18 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
                         f"centralic passes but the pair law fails on ({A.name}, {B.name})")
             d_instances = 0
             d_failures: list[tuple[str, int]] = []
-            if np.holds and P_size <= caps.hom_src:
+            if np.holds:
+                # A large target is dropped and the others still run; every
+                # other refusal comes before any map is enumerated for X.
                 usable_targets = [C for C in target_pool
                                   if C.signature == A.signature and C.size <= caps.hom_tgt]
                 for X in params:
                     if X.signature != A.signature:
                         continue
-                    if (X.size > caps.hom_src or A.size > caps.hom_tgt
-                            or B.size > caps.hom_tgt):
+                    try:
+                        report = check_condition_d_instances(A, B, usable_targets, [X], caps)
+                    except CapExceeded:
                         continue
-                    report = check_condition_d_instances(A, B, usable_targets, [X], caps)
                     d_instances += report.instances
                     if report.failures:
                         d_failures.append((X.name, len(report.failures)))

@@ -225,13 +225,12 @@ def depth_closure_tables(A, arity, depth=6):
     return current
 
 
-def free_algebra_by_rounds(A, k, caps=None):
+def free_algebra_by_rounds(A, k, caps=DEFAULT_CAPS):
     """free_algebra's carrier by the round loop with one pointwise call per
     argument tuple: (element vectors, generator ids, tables, round starts).
     Round r applies every op to the tuples over ``range(starts[r])`` with
     an argument at or past ``starts[r - 1]``; the last start is the size.
     Refuses with free_algebra's CapExceeded past ``free_carrier``."""
-    caps = caps or DEFAULT_CAPS
     n, positions = A.size, A.size ** k
     vector = vector_type(n)
     elems = [vector((0,) * positions)]

@@ -362,3 +362,146 @@ def test_cross_check_skips_beyond_caps(cat):
     by_pair = {(p.left, p.right): p for p in report.pairs}
     assert by_pair[("Z4", "Z4")].shifting_holds is None
     assert by_pair[("Z4", "Z4")].centralic_ok is None
+
+
+# The survey over the 8 builtins at 24 cap settings, one row per pair:
+# left and right names, then T/F/- (None) for np_holds, shifting_holds and
+# centralic_ok, then d_instances, and "!X=n" for each d failure.  The second
+# entry of each value is the report's discrepancies.
+CROSS_CHECK_PIN = {
+    (4, 4, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT68",
+        ()),
+    (4, 4, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT369",
+        ()),
+    (4, 4, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT68",
+        ()),
+    (4, 4, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT369",
+        ()),
+    (4, 6, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT68",
+        ()),
+    (4, 6, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT369",
+        ()),
+    (4, 6, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT68",
+        ()),
+    (4, 6, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 S2S2:FFF0 Z2Z2:TTT369",
+        ()),
+    (9, 4, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT68 Z2Z3:T--0 Z2Z4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 4, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT369 Z2Z3:T--0 Z2Z4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 4, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT68 Z2Z3:T--0 Z2Z4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 4, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4Z2:T--2145 "
+        "Z2V4:T--3425 Z2Z2:TTT369 Z2Z3:T--96 Z2Z4:T--517 Z3Z2:T--117 Z3Z3:T--108 Z4Z2:T--697",
+        ()),
+    (9, 6, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT68 Z2Z3:TTT0 Z2Z4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 6, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT369 Z2Z3:TTT0 Z2Z4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 6, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4Z2:T--0 "
+        "Z2V4:T--0 Z2Z2:TTT68 Z2Z3:TTT0 Z2Z4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z4Z2:T--0",
+        ()),
+    (9, 6, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4Z2:T--2145 "
+        "Z2V4:T--3425 Z2Z2:TTT369 Z2Z3:TTT96 Z2Z4:T--517 Z3Z2:TTT117 Z3Z3:T--108 Z4Z2:T--697",
+        ()),
+    (256, 4, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT68 Z2Z3:T--0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 4, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT369 Z2Z3:T--0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 4, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT68 Z2Z3:T--0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:T--0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 4, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:F--0 P3P2:F--0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--2145 V4Z3:T--0 V4Z4:T--0 Z2V4:T--3425 Z2Z2:TTT369 Z2Z3:T--96 Z2Z4:T--517 "
+        "Z3V4:T--0 Z3Z2:T--117 Z3Z3:T--108 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--697 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 6, 4, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT68 Z2Z3:TTT0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 6, 4, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT369 Z2Z3:TTT0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 6, 9, 2): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--0 V4Z3:T--0 V4Z4:T--0 Z2V4:T--0 Z2Z2:TTT68 Z2Z3:TTT0 Z2Z4:T--0 "
+        "Z3V4:T--0 Z3Z2:TTT0 Z3Z3:T--0 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--0 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+    (256, 6, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:F--0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:T--2145 V4Z3:T--0 V4Z4:T--0 Z2V4:T--3425 Z2Z2:TTT369 Z2Z3:TTT96 Z2Z4:T--517 "
+        "Z3V4:T--0 Z3Z2:TTT117 Z3Z3:T--108 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--697 Z4Z3:T--0 "
+        "Z4Z4:T--0",
+        ()),
+
+}
+
+
+def _cross_check_rows(report):
+    flag = {True: "T", False: "F", None: "-"}
+    return " ".join(
+        f"{p.left}{p.right}:{flag[p.np_holds]}{flag[p.shifting_holds]}"
+        f"{flag[p.centralic_ok]}{p.d_instances}"
+        + "".join(f"!{x}={n}" for x, n in p.d_failures)
+        for p in report.pairs)
+
+
+def test_cross_check_pinned_across_caps(cat):
+    algebras = list(cat.values())
+    for (c, l, h, t), (rows, discrepancies) in CROSS_CHECK_PIN.items():
+        report = cross_check_conditions(
+            algebras, caps=Caps(cg=c, lattice=l, hom_src=h, hom_tgt=t))
+        assert (_cross_check_rows(report), report.discrepancies) == \
+            (rows, discrepancies), (c, l, h, t)
+
+
+def test_cross_check_skips_a_lattice_refused_at_its_count(cat):
+    # P2 x P2 has 15 congruences, P2 x P3 203 and P3 x P3 21,147, so every
+    # lattice passes lattice_count=10 and only its two scans are skipped.
+    algebras = [cat["P2"], cat["P3"]]
+    report = cross_check_conditions(algebras, caps=Caps(lattice_count=10))
+    assert report.ok
+    assert len(report.pairs) == 4
+    assert all(p.shifting_holds is None and p.centralic_ok is None for p in report.pairs)
+    default = cross_check_conditions(algebras)
+    assert [p.np_holds for p in report.pairs] == [p.np_holds for p in default.pairs]

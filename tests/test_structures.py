@@ -10,6 +10,8 @@ from abelia import (POINTED, Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     internal_subtraction_tables, op_table,
                     product, verify_group_law, verify_proof_construction_1,
                     verify_proof_construction_2, zero_hom)
+from abelia.catalog import _cyclic
+from abelia.core import op_violation
 from oracles import brute_subtraction_tables, derive_abelian_by_loops, group_law_by_loops
 
 
@@ -196,8 +198,10 @@ def test_construction_1_trivial(cat):
 
 def test_construction_1_cap(cat):
     (s,) = find_internal_subtractions(cat["V4"])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as refused:
         verify_proof_construction_1(s, Caps(cg=32))
+    exc = refused.value
+    assert (exc.what, exc.needed, exc.limit) == ("congruence generation carrier", 64, 32)
 
 
 def test_construction_2_on_groups(cat):
@@ -293,3 +297,24 @@ def test_crystal_full_catalog(cat):
     assert report.ok
     # 51 = every group hom among Z2, Z3, Z4, V4, counted by brute force
     assert report.hom_checks == 51
+
+
+def test_a_map_preserving_subtraction_preserves_add_and_neg(cat):
+    # crystallographic_report audits only the subtraction on maps between
+    # verified algebras, since a homomorphism that preserves s preserves the
+    # derived add and neg.  Run that claim on the 51 maps of
+    # test_crystal_full_catalog and on the maps among Z2 x Z2 and Z6.
+    groups = [cat[name] for name in ("Z2", "Z3", "Z4", "V4")]
+    groups += [product(cat["Z2"], cat["Z2"]), _cyclic(6, "Z6")]
+    structures = [(i, derive_abelian(s).structure)
+                  for i, A in enumerate(groups) for s in find_internal_subtractions(A)]
+    catalog_maps = 0
+    for i, ab in structures:
+        for j, ab_p in structures:
+            A, B = groups[i], groups[j]
+            for g in enumerate_homomorphisms(A, B):
+                catalog_maps += i < 4 and j < 4
+                if check_homomorphic(g, ab.subtraction, ab_p.subtraction).holds:
+                    assert op_violation(ab.add, ab_p.add, A.size, B.size, 2, g.mapping) is None
+                    assert op_violation(ab.neg, ab_p.neg, A.size, B.size, 1, g.mapping) is None
+    assert catalog_maps == 51
