@@ -23,8 +23,10 @@ class Caps:
     # homomorphism-enumeration condition checks: largest source / target carrier
     hom_src: int = 9
     hom_tgt: int = 4
-    # internal-subtraction search: largest product carrier |A|**2
+    # internal-subtraction search: largest product carrier |A|**2, and most
+    # tables in one search (P4 has 4**9 = 262,144, P5 5**16)
     structure_src: int = 36
+    structure_tables: int = 1_048_576
     # free algebras: largest exponent |A|**k and largest generated carrier
     free_positions: int = 16
     free_carrier: int = 4096

@@ -207,7 +207,7 @@ def _check_table(opname: str, arity: int, size: int, table: tuple[int, ...]) -> 
     if len(table) != expect:
         raise InvalidAlgebra(
             f"operation {opname}: table has {len(table)} entries, expected {expect}")
-    if any(not (0 <= v < size) for v in table):
+    if min(table) < 0 or max(table) >= size:
         raise InvalidAlgebra(f"operation {opname}: table entry out of range")
 
 
@@ -502,36 +502,51 @@ def pairing_hom(prod: ProductAlgebra, a: Homomorphism, b: Homomorphism) -> Homom
 
 
 def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
-                            pinned: dict[int, int] | None = None) -> Iterator[Homomorphism]:
+                            pinned: dict[int, int] | None = None,
+                            limit: tuple[str, int] | None = None) -> Iterator[Homomorphism]:
     """Yield every homomorphism X -> Y extending ``pinned``, each exactly once.
 
     The stream is sorted lexicographically by the full map table, and a
     pinned entry that contradicts a forced equation yields an empty stream,
     not an error.  Each map is a ``Homomorphism`` built from a table of
-    ``_hom_tables`` without re-checking.  The condition checks in
-    ``normalproj``, ``find_internal_subtractions`` and the map loop of
-    ``crystallographic_report`` take these objects;
+    ``_hom_tables`` without re-checking, so it is refused at ``limit`` as
+    that stream is.  When the signature has no op of arity >= 1 the tables
+    are a product of free cells and come in blocks, with no search.  The
+    condition checks in ``normalproj``, ``find_internal_subtractions`` and
+    the map loop of ``crystallographic_report`` take these objects;
     ``structures.internal_subtraction_tables`` reads ``_hom_tables`` and
     builds none.
     """
     proved = Homomorphism._proved
-    for table in _hom_tables(X, Y, pinned):
+    for table in _hom_tables(X, Y, pinned, limit):
         yield proved(X, Y, table)
 
 
 def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
-                pinned: dict[int, int] | None = None) -> Iterator[tuple[int, ...]]:
+                pinned: dict[int, int] | None = None,
+                limit: tuple[str, int] | None = None) -> Iterator[tuple[int, ...]]:
     """The map tables of ``enumerate_homomorphisms``, in the same order.
 
-    Backtracks over carrier elements in increasing order with image
-    candidates in increasing order.  Every argument tuple of a non-constant
-    op is one constraint, h(op(args)) = op(h(args)), listed in the watch
-    list of each distinct cell of ``args``.  After every choice the search
+    ``limit``, a pair (what, cap), bounds the number of tables: a stream of
+    more than cap tables raises ``CapExceeded(what, needed, cap)``.
+
+    Every argument tuple of a non-constant op is one constraint,
+    h(op(args)) = op(h(args)), listed in the watch list of each distinct
+    cell of ``args``.  Constants and pins are set first and settled once,
+    at the root.  If then no cell is watched, the signature has only
+    constants, every map that keeps the cells set so far commutes, and the
+    stream is ``_free_product``: its count m ** k, for k free cells, is
+    known at once, so a stream past the cap is refused before its first
+    table with that count as ``needed``.
+
+    Otherwise the search backtracks over carrier elements in increasing
+    order with image candidates in increasing order.  After every choice it
     walks the cells assigned since it, and a constraint whose arguments are
     all assigned fires: it assigns its output cell, or reports a conflict,
-    and a newly assigned cell is walked in turn.  Constants are checked
-    once, at the root.  At a leaf every cell is assigned and every
-    constraint has fired, so the table commutes with every op.
+    and a newly assigned cell is walked in turn.  At a leaf every cell is
+    assigned and every constraint has fired, so the table commutes with
+    every op.  The walk refuses when it finds table cap + 1, with that as
+    ``needed``.
     """
     if X.signature != Y.signature:
         raise SignatureMismatch(f"{X.name} and {Y.name} have different signatures")
@@ -584,12 +599,20 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
             return
     if not settle(0):
         return
+    what, cap = limit or ("", math.inf)
+    if not any(watch):
+        yield from _free_product(partial, m, what, cap)
+        return
     # Depth-first over frames [cell, next candidate, trail mark], one per
     # branching cell; every candidate is tried from the state at the mark.
     # The trail holds exactly the assigned cells.
     stack: list[list[int]] = []
+    found = 0
     while True:
         if len(trail) == n:
+            if found == cap:
+                raise CapExceeded(what, cap + 1, cap)
+            found += 1
             yield tuple(partial)
         else:
             stack.append([partial.index(-1), 0, len(trail)])
@@ -608,6 +631,41 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
                 break
         else:
             return
+
+
+# ``_free_product`` builds this many tables at a time, at most.
+_BLOCK = 4096
+
+
+def _free_product(partial: list[int], m: int, what: str,
+                  cap: float) -> Iterator[tuple[int, ...]]:
+    """Every table that fills the free cells (-1) of ``partial`` with
+    values in range(m), in lexicographic order: the product of range(m)
+    over the free cells, the lowest cell the most significant digit.
+
+    With k free cells, the last j take the columns of
+    ``coordinates((m,) * j)``, for the largest j with m ** j <= ``_BLOCK``,
+    and the first k - j one ``itertools.product`` prefix per block; every
+    other cell is a constant column.  Each block is one ``zip`` of the
+    columns.  More than ``cap`` tables are refused before the first.
+    """
+    free = [e for e, v in enumerate(partial) if v < 0]
+    k = len(free)
+    if m ** k > cap:
+        raise CapExceeded(what, m ** k, cap)
+    j = 0
+    while j < k and m ** (j + 1) <= _BLOCK:
+        j += 1
+    block = m ** j
+    vector = vector_type(m)
+    cols = [vector((v,)) * block if v >= 0 else None for v in partial]
+    for e, col in zip(free[k - j:], coordinates((m,) * j)):
+        cols[e] = col
+    head = free[:k - j]
+    for prefix in itertools.product(range(m), repeat=k - j):
+        for e, v in zip(head, prefix):
+            cols[e] = vector((v,)) * block
+        yield from zip(*cols)
 
 
 def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homomorphism]:
@@ -773,23 +831,25 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     row-major order.  ``#`` starts a comment; table entries may be split
     across lines.
     """
-    tokens: list[tuple[int, str]] = []
+    # Token i is words[i], on line lines[i].
+    words: list[str] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        for word in raw.split("#", 1)[0].split():
-            tokens.append((lineno, word))
+        found = raw.split("#", 1)[0].split()
+        words += found
+        lines += [lineno] * len(found)
     pos = 0
 
-    def peek() -> tuple[int, str] | None:
-        return tokens[pos] if pos < len(tokens) else None
+    def peek() -> str | None:
+        return words[pos] if pos < len(words) else None
 
     def take(what: str) -> tuple[int, str]:
         nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][0] if tokens else None
+        if pos >= len(words):
+            last = lines[-1] if lines else None
             raise ParseError(f"unexpected end of input, expected {what}", last)
-        tok = tokens[pos]
         pos += 1
-        return tok
+        return lines[pos - 1], words[pos - 1]
 
     def take_int(what: str) -> tuple[int, int]:
         line, word = take(what)
@@ -797,6 +857,23 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             return line, int(word)
         except ValueError:
             raise ParseError(f"expected {what}, got {word!r}", line) from None
+
+    def take_table(opname: str, count: int) -> tuple[int, ...]:
+        # The entries are read in one pass.  On a fault the token loop reads
+        # them again and raises the error, with its line, for the first bad
+        # token; it only ever runs to raise.
+        nonlocal pos
+        try:
+            entries = tuple(map(int, words[pos:pos + count]))
+        except ValueError:
+            entries = ()
+        if len(entries) < count or min(entries) < 0 or max(entries) >= size:
+            for _ in range(count):
+                line, value = take_int(f"a table entry for {opname}")
+                if not (0 <= value < size):
+                    raise ParseError(f"table entry {value} out of range 0..{size - 1}", line)
+        pos += count
+        return entries
 
     line, word = take("the keyword 'algebra'")
     if word != "algebra":
@@ -829,14 +906,8 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         line, arity = take_int("an arity")
         if arity < 0:
             raise ParseError("arity must be non-negative", line)
-        entries = []
-        for _ in range(size ** arity):
-            line, value = take_int(f"a table entry for {opname}")
-            if not (0 <= value < size):
-                raise ParseError(f"table entry {value} out of range 0..{size - 1}", line)
-            entries.append(value)
         ops.append((opname, arity))
-        tables[opname] = tuple(entries)
+        tables[opname] = take_table(opname, size ** arity)
     signature = Signature(((ZERO_OP, 0),) + tuple(ops))
     return FiniteAlgebra(name, size, signature, tables)
 

@@ -54,10 +54,10 @@ class LawVerdict:
     witness: tuple[int, ...] | None
 
 
-def _subtraction_pins(A: FiniteAlgebra,
-                      caps: Caps) -> tuple[ProductAlgebra, dict[int, int]]:
-    """product(A, A) and the pins s(x, x) = 0 and s(x, 0) = x of the
-    subtraction search, after the cap check.
+def _subtraction_search(A: FiniteAlgebra, caps: Caps) -> tuple[ProductAlgebra, dict[int, int],
+                                                               tuple[str, int]]:
+    """product(A, A), the pins s(x, x) = 0 and s(x, 0) = x, and the table
+    limit of the subtraction search, after the carrier check.
 
     The element (x, y) of P is the table cell x * |A| + y, so the pins are
     the law's cells.  Homomorphism constraints prune as usual, so every map
@@ -66,7 +66,8 @@ def _subtraction_pins(A: FiniteAlgebra,
     P = product(A, A)
     if P.size > caps.structure_src:
         raise CapExceeded("subtraction search table", P.size, caps.structure_src)
-    return P, dict(subtraction_cells(A.size))
+    return P, dict(subtraction_cells(A.size)), ("internal subtraction count",
+                                                caps.structure_tables)
 
 
 def internal_subtraction_tables(A: FiniteAlgebra,
@@ -75,27 +76,32 @@ def internal_subtraction_tables(A: FiniteAlgebra,
     lexicographic order, built lazily and wrapped in no object.
 
     Raises ``CapExceeded`` at the call when |A|^2 is above
-    ``caps.structure_src``.  The CLI's ``internal-subtractions`` reads
-    these tables into one flat bytearray, one byte per cell, when
-    |A| <= 256.
+    ``caps.structure_src``, and from the stream when there are more than
+    ``caps.structure_tables`` tables.  A signature with only constants, as
+    on a bare pointed set, leaves every unpinned cell free, so the stream
+    is a product of those cells, counted and refused before its first
+    table; otherwise the search refuses at table ``structure_tables + 1``.
+    The CLI's ``internal-subtractions`` reads these tables into one flat
+    bytearray, one byte per cell, when |A| <= 256.
     """
-    P, pins = _subtraction_pins(A, caps)
-    return _hom_tables(P, A, pins)
+    P, pins, limit = _subtraction_search(A, caps)
+    return _hom_tables(P, A, pins, limit)
 
 
 def find_internal_subtractions(A: FiniteAlgebra,
                                caps: Caps = DEFAULT_CAPS) -> list[InternalSubtraction]:
     """All internal subtractions on A, in lexicographic table order.
 
-    The same search as ``internal_subtraction_tables``, read through
+    The same search, with the same refusals, as
+    ``internal_subtraction_tables``, read through
     ``enumerate_homomorphisms``: one ``InternalSubtraction`` over one
     ``Homomorphism`` per table, built without re-checking.  The CLI's
     ``abelian`` and ``crystallographic_report`` build all of them here
     and use the count and the first one.
     """
-    P, pins = _subtraction_pins(A, caps)
+    P, pins, limit = _subtraction_search(A, caps)
     proved = InternalSubtraction._proved
-    return [proved(A, h) for h in enumerate_homomorphisms(P, A, pins)]
+    return [proved(A, h) for h in enumerate_homomorphisms(P, A, pins, limit)]
 
 
 def verify_group_law(s: InternalSubtraction) -> LawVerdict:
@@ -265,12 +271,13 @@ def verify_proof_construction_2(g: Homomorphism, s: InternalSubtraction,
 @dataclass(frozen=True)
 class CrystalEntry:
     """Per-algebra survey line; anomalies are findings outside verified
-    preconditions, violations (collected on the report) falsify the theory."""
+    preconditions, violations (collected on the report) falsify the theory.
+    None marks a check skipped for caps."""
 
     name: str
-    np_self: bool
-    np_square: bool
-    subtractions: int
+    np_self: bool | None
+    np_square: bool | None
+    subtractions: int | None
     group_law_ok: bool | None
     abelian: bool | None
     anomalies: tuple[str, ...]
@@ -287,6 +294,14 @@ class CrystalReport:
         return not self.violations
 
 
+def _unless_refused(check):
+    """``check()``, or None when a cap refuses it."""
+    try:
+        return check()
+    except CapExceeded:
+        return None
+
+
 def crystallographic_report(catalog: list[FiniteAlgebra],
                             caps: Caps = DEFAULT_CAPS) -> CrystalReport:
     """Survey a catalog for internal subtractions and abelian structure.
@@ -296,14 +311,19 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
     structure.  Where the preconditions verify, uniqueness, the group law,
     abelianness, and homomorphicity of every map between such algebras are
     hard assertions; where they fail, findings are recorded as anomalies.
+    A check that a cap refuses is skipped, not failed, and recorded as None:
+    a skipped precondition is not verified, and a skipped subtraction
+    search leaves the group law and abelianness None.  The other members
+    still run.
     """
     entries: list[CrystalEntry] = []
     violations: list[str] = []
     verified: list[tuple[FiniteAlgebra, InternalSubtraction]] = []
     for A in sorted(catalog, key=lambda X: X.name):
-        np_self = check_np_pair(A, A, caps).holds
-        np_square = check_np_pair(A, product(A, A), caps).holds
-        subs = find_internal_subtractions(A, caps)
+        np_self = _unless_refused(lambda: check_np_pair(A, A, caps).holds)
+        np_square = _unless_refused(lambda: check_np_pair(A, product(A, A), caps).holds)
+        found = _unless_refused(lambda: find_internal_subtractions(A, caps))
+        subs = found or []
         anomalies: list[str] = []
         preconditions = np_self and np_square
         group_ok: bool | None = None
@@ -326,7 +346,8 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
                 verified.append((A, subs[0]))
         else:
             anomalies.extend(problems)
-        entries.append(CrystalEntry(A.name, np_self, np_square, len(subs),
+        entries.append(CrystalEntry(A.name, np_self, np_square,
+                                    None if found is None else len(subs),
                                     group_ok, abelian, tuple(anomalies)))
     hom_checks = 0
     # Only the subtraction is audited: the derived add and neg follow.  A

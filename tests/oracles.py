@@ -35,9 +35,21 @@ def commutes(A, B, mapping):
     return True
 
 
-def brute_homs(A, B):
-    """Filter every pointed map; fine for |A| <= 4 or so."""
-    return [m for m in all_pointed_maps(A.size, B.size) if commutes(A, B, m)]
+def brute_homs(A, B, pinned=None):
+    """Filter every pointed map that keeps ``pinned``, in lexicographic
+    order; fine for |A| <= 4 or so, or for few unpinned elements."""
+    fixed = {0: 0}
+    for e, v in (pinned or {}).items():
+        if fixed.setdefault(e, v) != v:
+            return []
+    free = [e for e in range(A.size) if e not in fixed]
+    maps = []
+    for values in itertools.product(range(B.size), repeat=len(free)):
+        cells = dict(zip(free, values)) | fixed
+        m = tuple(cells[e] for e in range(A.size))
+        if commutes(A, B, m):
+            maps.append(m)
+    return maps
 
 
 def backtrack_homs(A, B):

@@ -97,6 +97,19 @@ def test_lattice_count_cap_under_json_names_the_cap(capsys, monkeypatch):
                               "limit": 100}
 
 
+def test_internal_subtractions_on_p5_refuses_at_once(capsys, tmp_path):
+    # 5 ** 16 subtraction tables, past structure_tables at default caps
+    path = tmp_path / "p5.alg"
+    path.write_text("algebra P5\nsize 5\nzero 0\n")
+    code, out, err = run(capsys, "internal-subtractions", str(path), "--json")
+    assert code == 3
+    assert err.startswith("unknown:")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["cap"] == {"what": "internal subtraction count", "needed": 5 ** 16,
+                              "limit": 1_048_576}
+
+
 def test_conditions_b(capsys):
     code, payload = run_json(capsys, "conditions", "@builtin:P2", "--which", "b")
     assert code == 1

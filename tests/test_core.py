@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     kernel_congruence, op_table, pairing_hom, parse_algebra,
                     product, quotient, serialize_algebra, zero_hom)
 from abelia.catalog import _cyclic
+from abelia.core import _hom_tables, subtraction_cells
 from oracles import backtrack_homs, brute_homs, commutes, oracle_product
 
 
@@ -57,8 +59,9 @@ def test_algebra_validation():
     sig = Signature.make((("f", 1),))
     with pytest.raises(InvalidAlgebra):
         FiniteAlgebra("X", 2, sig, {"zero": (0,), "f": (0,)})
-    with pytest.raises(InvalidAlgebra):
-        FiniteAlgebra("X", 2, sig, {"zero": (0,), "f": (0, 5)})
+    for table in ((0, 5), (-1, 0), (1, 2)):
+        with pytest.raises(InvalidAlgebra, match="f: table entry out of range"):
+            FiniteAlgebra("X", 2, sig, {"zero": (0,), "f": table})
 
 
 def test_apply_is_row_major(cat):
@@ -262,6 +265,86 @@ def test_enumerate_homomorphisms_pinned(cat):
         list(enumerate_homomorphisms(Z3, Z3, {0: 9}))
 
 
+def _pointed(n: int, **constants) -> FiniteAlgebra:
+    """The n-element pointed set with the given extra constants."""
+    sig = Signature.make(tuple((name, 0) for name in constants))
+    tables = {"zero": (0,)} | {name: (v,) for name, v in constants.items()}
+    return FiniteAlgebra(f"P{n}", n, sig, tables)
+
+
+# Signatures with only constants take the product path of ``_hom_tables``.
+@pytest.mark.parametrize("n,m", itertools.product(range(1, 5), repeat=2))
+def test_constant_only_search_matches_filter_oracle(n, m):
+    rng = random.Random(n * 10 + m)
+    X, Y = _pointed(n), _pointed(m)
+    pin_sets = [{}] + [{e: rng.randrange(m) for e in rng.sample(range(n), rng.randint(1, n))}
+                       for _ in range(6)]
+    for pins in pin_sets:
+        assert list(_hom_tables(X, Y, pins)) == brute_homs(X, Y, pins), pins
+
+
+def test_constant_only_search_with_a_nonzero_constant():
+    X, Y = _pointed(4, c=2), _pointed(3, c=1)
+    assert list(_hom_tables(X, Y)) == brute_homs(X, Y)
+    assert len(brute_homs(X, Y)) == 9
+    for pins in ({2: 1}, {3: 2}, {1: 0, 3: 1}):  # consistent with c
+        assert list(_hom_tables(X, Y, pins)) == brute_homs(X, Y, pins) != []
+    for pins in ({2: 0}, {2: 2, 3: 1}):  # in conflict with c
+        assert list(_hom_tables(X, Y, pins)) == brute_homs(X, Y, pins) == []
+    # c names 0 on X but not on Y, against zero
+    X0 = _pointed(3, c=0)
+    assert list(_hom_tables(X0, Y)) == brute_homs(X0, Y) == []
+
+
+def test_constant_only_search_with_no_free_cell_or_one_target_element():
+    X, Y = _pointed(3), _pointed(3)
+    assert list(_hom_tables(X, Y, {1: 2, 2: 1})) == [(0, 2, 1)]
+    assert list(_hom_tables(_pointed(4), _pointed(1))) == [(0, 0, 0, 0)]
+    assert list(_hom_tables(_pointed(1), _pointed(4))) == [(0,)]
+
+
+def test_constant_only_search_over_many_blocks():
+    # P4's subtractions: nine free cells, 4 ** 9 tables in 64 blocks
+    P4 = _pointed(4)
+    PP, pins = product(P4, P4), dict(subtraction_cells(4))
+    got = list(_hom_tables(PP, P4, pins))
+    assert len(got) == 4 ** 9
+    assert got == brute_homs(PP, P4, pins)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_constant_only_search_into_tuple_vectors(n):
+    # 257 elements fit no byte, so the columns are tuples; P3 has 257 ** 2
+    # tables, more than one block.
+    X, Y = _pointed(n), _pointed(257)
+    got = list(_hom_tables(X, Y))
+    assert len(got) == 257 ** (n - 1)
+    assert got == brute_homs(X, Y)
+    assert list(_hom_tables(X, Y, {1: 200})) == brute_homs(X, Y, {1: 200})
+
+
+def test_constant_only_search_refuses_by_its_count_before_the_first_table():
+    X, Y = _pointed(4), _pointed(3)
+    assert len(list(_hom_tables(X, Y, limit=("maps", 27)))) == 27
+    stream = _hom_tables(X, Y, limit=("maps", 26))
+    with pytest.raises(CapExceeded) as err:
+        next(stream)
+    assert (err.value.what, err.value.needed, err.value.limit) == ("maps", 27, 26)
+
+
+def test_search_refuses_past_its_limit(cat):
+    # A unary op keeps the depth-first walk; it stops at table limit + 1.
+    X, Y = cat["P3"], cat["P3"]
+    unary = Signature.make((("i", 1),))
+    Xi = FiniteAlgebra("P3i", 3, unary, {"zero": (0,), "i": (0, 1, 2)})
+    assert list(_hom_tables(Xi, Xi, limit=("maps", 9))) == list(_hom_tables(X, Y))
+    got = []
+    with pytest.raises(CapExceeded) as err:
+        got.extend(_hom_tables(Xi, Xi, limit=("maps", 8)))
+    assert (err.value.what, err.value.needed, err.value.limit) == ("maps", 9, 8)
+    assert len(got) == 8
+
+
 def test_enumerate_homomorphisms_product_source(cat):
     # independently built equal products must compose with enumerated maps
     Z2 = cat["Z2"]
@@ -422,6 +505,23 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_algebra(text)
     assert fragment in str(err.value)
+
+
+# Each table is read in one pass; the first bad token of a table is still
+# the one reported, with its line.
+@pytest.mark.parametrize("body,message", [
+    ("op f 2\n0 1\n1 x\n", "line 6: expected a table entry for f, got 'x'"),
+    ("op f 2\n0 1\n1.0 -1\n", "line 6: expected a table entry for f, got '1.0'"),
+    ("op f 2\n0 -1\n1 x\n", "line 5: table entry -1 out of range 0..1"),
+    ("op f 2\n0 1 # c\n1 2\nop g 1\n0 1\n", "line 6: table entry 2 out of range 0..1"),
+    ("op f 1\n0\nop g 1\n1 0\n", "line 6: expected a table entry for f, got 'op'"),
+    ("op f 1\n0 1\nop g 2\n0 1\n",
+     "line 7: unexpected end of input, expected a table entry for g"),
+])
+def test_parse_table_errors(body, message):
+    with pytest.raises(ParseError) as err:
+        parse_algebra("algebra X\nsize 2\nzero 0\n" + body)
+    assert str(err.value) == message
 
 
 def test_parse_error_line_numbers():

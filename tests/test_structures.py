@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from abelia import (POINTED, Caps, CapExceeded, FiniteAlgebra, Homomorphism,
-                    InternalSubtraction,
+                    InternalSubtraction, Signature,
                     check_homomorphic, check_np_pair, crystallographic_report,
                     derive_abelian, enumerate_homomorphisms,
                     find_internal_subtractions, identity_hom,
@@ -64,6 +64,42 @@ def test_subtraction_search_cap(cat):
     for search in (find_internal_subtractions, internal_subtraction_tables):
         with pytest.raises(CapExceeded):
             search(cat["Z4"], Caps(structure_src=9))
+
+
+def test_subtraction_search_refuses_p5_by_its_table_count():
+    # A bare pointed set leaves 16 of P5 x P5's 25 cells free: 5 ** 16
+    # tables, counted and refused before the first.
+    P5 = FiniteAlgebra("P5", 5, POINTED, {"zero": (0,)})
+    stream = internal_subtraction_tables(P5)
+    for search in (lambda: next(stream), lambda: find_internal_subtractions(P5)):
+        with pytest.raises(CapExceeded) as err:
+            search()
+        assert (err.value.what, err.value.needed, err.value.limit) == (
+            "internal subtraction count", 5 ** 16, 1_048_576)
+
+
+def test_subtraction_search_table_cap_is_inclusive():
+    P4 = FiniteAlgebra("P4", 4, POINTED, {"zero": (0,)})
+    assert sum(1 for _ in internal_subtraction_tables(
+        P4, Caps(structure_src=16, structure_tables=4 ** 9))) == 4 ** 9
+    with pytest.raises(CapExceeded) as err:
+        find_internal_subtractions(P4, Caps(structure_src=16, structure_tables=4 ** 9 - 1))
+    assert err.value.needed == 4 ** 9
+
+
+def test_subtraction_search_with_an_identity_op_refuses_past_the_cap():
+    # An identity op keeps every table of P4 but is not a constant, so the
+    # depth-first search runs, and it can only refuse once it passes the cap.
+    P4 = FiniteAlgebra("P4", 4, POINTED, {"zero": (0,)})
+    P4i = FiniteAlgebra("P4", 4, Signature.make((("i", 1),)), {"zero": (0,), "i": (0, 1, 2, 3)})
+    caps = Caps(structure_src=16)
+    assert list(internal_subtraction_tables(P4i, caps)) == list(
+        internal_subtraction_tables(P4, caps))
+    for search in (internal_subtraction_tables, find_internal_subtractions):
+        with pytest.raises(CapExceeded) as err:
+            list(search(P4i, Caps(structure_src=16, structure_tables=1000)))
+        assert (err.value.what, err.value.needed, err.value.limit) == (
+            "internal subtraction count", 1001, 1000)
 
 
 def test_group_law(cat):
@@ -297,6 +333,28 @@ def test_crystal_full_catalog(cat):
     assert report.ok
     # 51 = every group hom among Z2, Z3, Z4, V4, counted by brute force
     assert report.hom_checks == 51
+
+
+def _entries(report):
+    return [(e.name, e.np_self, e.np_square, e.subtractions, e.group_law_ok, e.abelian,
+             e.anomalies) for e in report.entries]
+
+
+def test_crystal_skips_a_refused_check_and_keeps_the_other_members(cat):
+    # Z7 x Z7 x Z7 is past the cg cap and Z7 x Z7 past structure_src, so
+    # both are skipped; Z2 is still surveyed.
+    report = crystallographic_report([cat["Z2"], _cyclic(7, "Z7")])
+    assert report.ok
+    assert _entries(report) == [("Z2", True, True, 1, True, True, ()),
+                                ("Z7", True, None, None, None, None, ())]
+    assert report.hom_checks == 2
+
+
+def test_crystal_skips_a_subtraction_search_past_its_table_cap(cat):
+    P5 = FiniteAlgebra("P5", 5, POINTED, {"zero": (0,)})
+    report = crystallographic_report([cat["P2"], P5])
+    assert _entries(report)[1] == ("P5", False, False, None, None, None, ())
+    assert _entries(report)[0] == _entries(crystallographic_report([cat["P2"]]))[0]
 
 
 def test_a_map_preserving_subtraction_preserves_add_and_neg(cat):
