@@ -96,11 +96,23 @@ def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
     return NpVerdict(witness is None, theta, witness)
 
 
-def _guard_hom(source_size: int, target_size: int, caps: Caps):
-    if source_size > caps.hom_src:
-        raise CapExceeded("homomorphism enumeration source", source_size, caps.hom_src)
-    if target_size > caps.hom_tgt:
-        raise CapExceeded("homomorphism enumeration target", target_size, caps.hom_tgt)
+def _maps(X: FiniteAlgebra, Y: FiniteAlgebra, caps: Caps,
+          pins: dict[int, int] | None = None) -> list[Homomorphism]:
+    """Every homomorphism X -> Y extending ``pins``, listed once.  X is
+    refused above ``caps.hom_src`` and then Y above ``caps.hom_tgt``."""
+    if X.size > caps.hom_src:
+        raise CapExceeded("homomorphism enumeration source", X.size, caps.hom_src)
+    if Y.size > caps.hom_tgt:
+        raise CapExceeded("homomorphism enumeration target", Y.size, caps.hom_tgt)
+    return list(enumerate_homomorphisms(X, Y, pins))
+
+
+def _unless_refused(check):
+    """``check()``, or None when a cap refuses it."""
+    try:
+        return check()
+    except CapExceeded:
+        return None
 
 
 def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
@@ -109,8 +121,8 @@ def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
     """Conditions b to e on P = A x B: over targets C, parameter objects X
     and maps f: P -> C, each element (roles, a, b) of ``elements(X)`` whose
     a f kills on the slice is an instance, and each x where f(a, b) moves
-    is a failure.  ``elements`` checks X; it runs once per X, after the
-    first target's checks."""
+    is a failure.  The maps P -> C are listed once per C, after C's checks;
+    ``elements`` checks X and runs once per X, after the first target's."""
     nb = P.right.size
     per_object: list[list] = []
     instances = 0
@@ -118,11 +130,11 @@ def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
     for C in targets:
         if C.signature != P.left.signature:
             raise SignatureMismatch(f"{C.name} does not share {P.left.name}'s signature")
-        _guard_hom(P.size, C.size, caps)
+        maps = _maps(P, C, caps, pins)
         for i, X in enumerate(parameter_objects):
             if i == len(per_object):
                 per_object.append(elements(X))
-            for f in enumerate_homomorphisms(P, C, pins):
+            for f in maps:
                 t = f.mapping
                 for roles, a, b in per_object[i]:
                     if not _kills_slice(t, nb, a):
@@ -162,11 +174,10 @@ def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
     def elements(X: FiniteAlgebra) -> list:
         if X.signature != A.signature:
             raise SignatureMismatch(f"{X.name} does not share {A.name}'s signature")
-        _guard_hom(X.size, A.size, caps)
-        _guard_hom(X.size, B.size, caps)
-        b_maps = list(enumerate_homomorphisms(X, B))
+        a_maps = _maps(X, A, caps)
+        b_maps = _maps(X, B, caps)
         return [((("a", a), ("b", b)), a.mapping, b.mapping)
-                for a in enumerate_homomorphisms(X, A) for b in b_maps]
+                for a in a_maps for b in b_maps]
 
     return _element_report("d", product(A, B), targets, parameter_objects, elements, caps)
 
@@ -183,8 +194,7 @@ def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     def elements(U: FiniteAlgebra) -> list:
         if U.signature != X.signature:
             raise SignatureMismatch(f"{U.name} does not share {X.name}'s signature")
-        _guard_hom(U.size, X.size, caps)
-        return [((("x", x),), x.mapping, x.mapping) for x in enumerate_homomorphisms(U, X)]
+        return [((("x", x),), x.mapping, x.mapping) for x in _maps(U, X, caps)]
 
     return _element_report("e", product(X, X), targets, parameter_objects, elements, caps)
 
@@ -220,22 +230,18 @@ def shifting_shape_check(A: FiniteAlgebra, B: FiniteAlgebra,
 
 def _centralic_violations(P: ProductAlgebra, lattice: list[Congruence]):
     """The violations of the centralic law over the lattice of P = A x B, in
-    order, as (theta, (x, y, z), lhs, rhs); the generator returns the number
-    of instances it checked."""
+    order, as (theta, (x, y, z), lhs, rhs)."""
     na, nb = P.left.size, P.right.size
     # (x, 0) and (y, 0) are elements x*nb and y*nb; (x, z) is x*nb + z.
     slice_pairs = [(x, y, x * nb, y * nb) for x in range(na) for y in range(na)]
-    instances = 0
     for theta in lattice:
         rep = theta.rep
         for x, y, u, v in slice_pairs:
             if rep[u] != rep[v]:
                 continue
-            instances += nb
             for z in range(nb):
                 if rep[u + z] != rep[v + z]:
                     yield theta, (x, y, z), rep[u + z], rep[v + z]
-    return instances
 
 
 def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
@@ -248,14 +254,15 @@ def centralic_check(A: FiniteAlgebra, B: FiniteAlgebra,
     of (x, z) and (y, z).  Passing implies the pair-level law.
     """
     P = product(A, B)
-    violations = _centralic_violations(P, all_congruences(P, caps))
-    failures: list[ConditionFailure] = []
-    while True:
-        try:
-            theta, point, lhs, rhs = next(violations)
-        except StopIteration as done:
-            return ConditionReport("centralic", done.value, tuple(failures))
-        failures.append(ConditionFailure((), point, lhs, rhs, theta))
+    lattice = all_congruences(P, caps)
+    # An instance is (theta, x, y, z) with (x, 0) theta (y, 0), that is
+    # with equal reps at x and y in the slice rep[::nb].
+    nb = P.right.size
+    slices = [theta.rep[::nb] for theta in lattice]
+    instances = nb * sum(s.count(r) for s in slices for r in s)
+    failures = tuple(ConditionFailure((), point, lhs, rhs, theta)
+                     for theta, point, lhs, rhs in _centralic_violations(P, lattice))
+    return ConditionReport("centralic", instances, failures)
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,6 @@ class CrossCheckReport:
 
 def cross_check_conditions(catalog: list[FiniteAlgebra],
                            parameter_objects: list[FiniteAlgebra] | None = None,
-                           targets: list[FiniteAlgebra] | None = None,
                            caps: Caps = DEFAULT_CAPS) -> CrossCheckReport:
     """Check the implication web between the condition variants.
 
@@ -295,11 +301,12 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
     failed: a pair whose ``check_np_pair`` is refused is left out, a lattice
     refused by any cap (``lattice_count`` included) leaves
     ``shifting_holds`` and ``centralic_ok`` None, and a parameter object
-    whose condition-d check is refused adds no instances.  Targets above
-    ``caps.hom_tgt`` are dropped and the others still run.
+    whose condition-d check is refused adds no instances.  The targets of
+    condition d are the catalog's members: those above ``caps.hom_tgt`` are
+    dropped and the others still run.  The parameter objects default to the
+    catalog too.
     """
     params = parameter_objects if parameter_objects is not None else list(catalog)
-    target_pool = targets if targets is not None else list(catalog)
     pairs: list[PairCrossCheck] = []
     discrepancies: list[str] = []
     ordered = sorted(catalog, key=lambda X: X.name)
@@ -307,15 +314,13 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
         for B in ordered:
             if A.signature != B.signature:
                 continue
-            try:
-                np = check_np_pair(A, B, caps)
-            except CapExceeded:
+            np = _unless_refused(lambda: check_np_pair(A, B, caps))
+            if np is None:
                 continue
             P = product(A, B)
-            try:
-                # One lattice serves both scans.
-                lattice = all_congruences(P, caps)
-            except CapExceeded:
+            # One lattice serves both scans.
+            lattice = _unless_refused(lambda: all_congruences(P, caps))
+            if lattice is None:
                 shifting = centralic = None
             else:
                 shifting = _shifting_holds(P, lattice)
@@ -330,16 +335,16 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
             d_instances = 0
             d_failures: list[tuple[str, int]] = []
             if np.holds:
-                # A large target is dropped and the others still run; every
-                # other refusal comes before any map is enumerated for X.
-                usable_targets = [C for C in target_pool
+                # A large target is dropped and the others still run; any
+                # other refusal skips X.
+                usable_targets = [C for C in catalog
                                   if C.signature == A.signature and C.size <= caps.hom_tgt]
                 for X in params:
                     if X.signature != A.signature:
                         continue
-                    try:
-                        report = check_condition_d_instances(A, B, usable_targets, [X], caps)
-                    except CapExceeded:
+                    report = _unless_refused(
+                        lambda: check_condition_d_instances(A, B, usable_targets, [X], caps))
+                    if report is None:
                         continue
                     d_instances += report.instances
                     if report.failures:

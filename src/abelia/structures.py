@@ -18,7 +18,7 @@ from .core import (CapExceeded, FiniteAlgebra, Homomorphism, ProductAlgebra,
                    _hom_tables, broken_cell, coordinates, enumerate_homomorphisms,
                    first_mismatch, hom_violation, op_violation, pointwise, product,
                    subtraction_cells, unit_cells)
-from .normalproj import _kills_slice, _moved, check_np_pair
+from .normalproj import _kills_slice, _maps, _moved, _unless_refused, check_np_pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,14 +294,6 @@ class CrystalReport:
         return not self.violations
 
 
-def _unless_refused(check):
-    """``check()``, or None when a cap refuses it."""
-    try:
-        return check()
-    except CapExceeded:
-        return None
-
-
 def crystallographic_report(catalog: list[FiniteAlgebra],
                             caps: Caps = DEFAULT_CAPS) -> CrystalReport:
     """Survey a catalog for internal subtractions and abelian structure.
@@ -358,9 +350,7 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
         for B, s_p in verified:
             if A.signature != B.signature:
                 continue
-            if A.size > caps.hom_src or B.size > caps.hom_tgt:
-                continue
-            for g in enumerate_homomorphisms(A, B):
+            for g in _unless_refused(lambda: _maps(A, B, caps)) or ():
                 hom_checks += 1
                 sub_ok = check_homomorphic(g, s, s_p)
                 if not sub_ok.holds:

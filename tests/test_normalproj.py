@@ -8,7 +8,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, SignatureMismatch, check_c
                     check_np_pair, centralic_check, cross_check_conditions,
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
                     op_table, product, shifting_shape_check, zero_hom)
-from abelia import normalproj
+from abelia import core, normalproj
 from oracles import np_hom_refutes, np_partition_oracle
 
 
@@ -207,6 +207,78 @@ def test_parameter_objects_are_checked_after_the_first_target(cat):
     # A foreign parameter object is refused even after a clean one.
     with pytest.raises(SignatureMismatch, match="P2 does not share Z2"):
         check_condition_e_instances(Z2, [Z2, Z3], [Z2, P2])
+
+
+def _condition_calls(cat):
+    Z2, Z3, Z4, P2, P3 = (cat[n] for n in ("Z2", "Z3", "Z4", "P2", "P3"))
+    P5 = FiniteAlgebra("P5", 5, P2.signature, {"zero": (0,)})
+    return {
+        # P = P2 x P2 (4 elements); the second target has 3.
+        "b": lambda caps: check_condition_b(P2, [P2, P3], caps),
+        # P = Z3 x Z4 (12); under hom_tgt=2 both a: X -> Z3 and
+        # b: X -> Z4 are over the cap, and A's refusal comes first.
+        "d": lambda caps: check_condition_d_instances(
+            Z3, Z4, [Z2, Z4], [Z2, product(Z2, Z3)], caps),
+        # P = P2 x P2 (4); under hom_src=4, hom_tgt=2 both the first target
+        # P3 and the parameter object P5 are over, and the target's comes first.
+        "e": lambda caps: check_condition_e_instances(P2, [P3, P2], [P2, P5], caps),
+    }
+
+
+# (tag, hom_src, hom_tgt) -> (what, needed, limit) of the refusal, or
+# (instances, number of failures) when the check completes.
+CONDITION_REFUSAL_PIN = {
+    ("b", 3, 2): ("homomorphism enumeration source", 4, 3),
+    ("b", 3, 3): ("homomorphism enumeration source", 4, 3),
+    ("b", 3, 4): ("homomorphism enumeration source", 4, 3),
+    ("b", 4, 2): ("homomorphism enumeration target", 3, 2),
+    ("b", 4, 3): (13, 8),
+    ("b", 4, 4): (13, 8),
+    ("b", 12, 2): ("homomorphism enumeration target", 3, 2),
+    ("b", 12, 3): (13, 8),
+    ("b", 12, 4): (13, 8),
+    ("d", 4, 2): ("homomorphism enumeration source", 12, 4),
+    ("d", 4, 4): ("homomorphism enumeration source", 12, 4),
+    ("d", 6, 3): ("homomorphism enumeration source", 12, 6),
+    ("d", 12, 2): ("homomorphism enumeration target", 3, 2),
+    ("d", 12, 3): ("homomorphism enumeration target", 4, 3),
+    ("d", 12, 4): (48, 0),
+    ("e", 3, 2): ("homomorphism enumeration source", 4, 3),
+    ("e", 3, 4): ("homomorphism enumeration source", 4, 3),
+    ("e", 4, 2): ("homomorphism enumeration target", 3, 2),
+    ("e", 4, 3): ("homomorphism enumeration source", 5, 4),
+    ("e", 4, 4): ("homomorphism enumeration source", 5, 4),
+    ("e", 5, 2): ("homomorphism enumeration target", 3, 2),
+    ("e", 5, 3): (278, 264),
+    ("e", 12, 4): (278, 264),
+}
+
+
+def test_condition_refusals_pinned_across_hom_caps(cat):
+    calls = _condition_calls(cat)
+    for (tag, s, t), expected in CONDITION_REFUSAL_PIN.items():
+        try:
+            report = calls[tag](Caps(hom_src=s, hom_tgt=t))
+        except CapExceeded as exc:
+            got = (exc.what, exc.needed, exc.limit)
+        else:
+            got = (report.instances, len(report.failures))
+        assert got == expected, (tag, s, t)
+
+
+def test_each_map_family_is_listed_once_per_report(cat, monkeypatch):
+    P2, P3 = cat["P2"], cat["P3"]
+    listed = []
+    hom_tables = core._hom_tables
+
+    def counting(X, Y, *args):
+        listed.append((X, Y))
+        return hom_tables(X, Y, *args)
+
+    monkeypatch.setattr(core, "_hom_tables", counting)
+    check_condition_e_instances(P3, [P3], [P2, P3])
+    assert listed.count((product(P3, P3), P3)) == 1
+    assert listed.count((P2, P3)) == listed.count((P3, P3)) == 1
 
 
 def test_condition_e_examples(cat):

@@ -350,6 +350,38 @@ def test_crystal_skips_a_refused_check_and_keeps_the_other_members(cat):
     assert report.hom_checks == 2
 
 
+CRYSTAL_ENTRIES_PIN = [
+    ("B2", True, True, 0, None, None, ()),
+    ("P2", False, False, 2, False, False,
+     ("P2: 2 internal subtractions", "P2: group law fails at (1, 0, 1)",
+      "P2: derived structure fails unit")),
+    ("P3", False, False, 81, False, False,
+     ("P3: 81 internal subtractions", "P3: group law fails at (1, 0, 1)",
+      "P3: derived structure fails unit")),
+    ("S2", False, False, 0, None, None, ()),
+    ("V4", True, True, 1, True, True, ()),
+    ("Z2", True, True, 1, True, True, ()),
+    ("Z3", True, True, 1, True, True, ()),
+    ("Z4", True, True, 1, True, True, ()),
+]
+
+# (hom_src, hom_tgt) -> (hom_checks, violations) on the 8 builtins.  The
+# entries do not depend on these caps; a pair whose maps are refused adds
+# no checks.
+CRYSTAL_PIN = {
+    (1, 1): (0, ()), (1, 2): (0, ()), (1, 3): (0, ()), (1, 4): (0, ()),
+    (4, 1): (0, ()), (4, 2): (9, ()), (4, 3): (15, ()), (4, 4): (51, ()),
+    (9, 1): (0, ()), (9, 2): (9, ()), (9, 3): (15, ()), (9, 4): (51, ()),
+}
+
+
+def test_crystal_pinned_across_hom_caps(cat):
+    for (s, t), expected in CRYSTAL_PIN.items():
+        report = crystallographic_report(list(cat.values()), Caps(hom_src=s, hom_tgt=t))
+        assert _entries(report) == CRYSTAL_ENTRIES_PIN, (s, t)
+        assert (report.hom_checks, report.violations) == expected, (s, t)
+
+
 def test_crystal_skips_a_subtraction_search_past_its_table_cap(cat):
     P5 = FiniteAlgebra("P5", 5, POINTED, {"zero": (0,)})
     report = crystallographic_report([cat["P2"], P5])
