@@ -9,6 +9,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, SignatureMismatch, check_c
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
                     op_table, product, shifting_shape_check, zero_hom)
 from abelia import core, normalproj
+from abelia.catalog import _cyclic
 from oracles import np_hom_refutes, np_partition_oracle
 
 
@@ -545,7 +546,13 @@ CROSS_CHECK_PIN = {
         "Z3V4:T--0 Z3Z2:TTT117 Z3Z3:T--108 Z3Z4:T--0 Z4V4:T--0 Z4Z2:T--697 Z4Z3:T--0 "
         "Z4Z4:T--0",
         ()),
-
+    # The default caps; the d_instances sum to 7,484.
+    (256, 12, 9, 4): (
+        "B2B2:TTT10 P2P2:FFF0 P2P3:FFF0 P3P2:FFF0 P3P3:FFF0 S2S2:FFF0 V4V4:T--0 "
+        "V4Z2:TTT2145 V4Z3:TTT0 V4Z4:T--0 Z2V4:TTT3425 Z2Z2:TTT369 Z2Z3:TTT96 Z2Z4:TTT517 "
+        "Z3V4:TTT0 Z3Z2:TTT117 Z3Z3:TTT108 Z3Z4:TTT0 Z4V4:T--0 Z4Z2:TTT697 Z4Z3:TTT0 "
+        "Z4Z4:T--0",
+        ()),
 }
 
 
@@ -565,6 +572,18 @@ def test_cross_check_pinned_across_caps(cat):
             algebras, caps=Caps(cg=c, lattice=l, hom_src=h, hom_tgt=t))
         assert (_cross_check_rows(report), report.discrepancies) == \
             (rows, discrepancies), (c, l, h, t)
+
+
+def test_cross_check_runs_the_other_parameter_objects_past_a_refused_one(cat):
+    # Under hom_src=5 the maps out of Z6 are refused, so Z6 adds no
+    # instances, while Z2 (16 instances) and Z3 (5) still run on Z2 x Z2.
+    # The families out of Z2 x Z3 and Z3 x Z3 are refused, which skips
+    # condition d on those pairs.
+    Z2, Z3 = cat["Z2"], cat["Z3"]
+    report = cross_check_conditions([Z2, Z3], parameter_objects=[Z2, _cyclic(6, "Z6"), Z3],
+                                    caps=Caps(hom_src=5))
+    assert (_cross_check_rows(report), report.discrepancies) == \
+        ("Z2Z2:TTT21 Z2Z3:TTT0 Z3Z2:TTT0 Z3Z3:TTT0", ())
 
 
 def test_cross_check_skips_a_lattice_refused_at_its_count(cat):
