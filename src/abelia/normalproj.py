@@ -170,16 +170,18 @@ def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,
     f(a(x), b(x)) = f(0, b(x)) for all x.  An instance is one (f, a, b)
     triple whose premise holds.
     """
+    return _element_report("d", product(A, B), targets, parameter_objects,
+                           lambda X: _pair_elements(A, B, X, caps), caps)
 
-    def elements(X: FiniteAlgebra) -> list:
-        if X.signature != A.signature:
-            raise SignatureMismatch(f"{X.name} does not share {A.name}'s signature")
-        a_maps = _maps(X, A, caps)
-        b_maps = _maps(X, B, caps)
-        return [((("a", a), ("b", b)), a.mapping, b.mapping)
-                for a in a_maps for b in b_maps]
 
-    return _element_report("d", product(A, B), targets, parameter_objects, elements, caps)
+def _pair_elements(A: FiniteAlgebra, B: FiniteAlgebra, X: FiniteAlgebra, caps: Caps) -> list:
+    """Condition d's elements of X: every pair of maps a: X -> A, b: X -> B."""
+    if X.signature != A.signature:
+        raise SignatureMismatch(f"{X.name} does not share {A.name}'s signature")
+    a_maps = _maps(X, A, caps)
+    b_maps = _maps(X, B, caps)
+    return [((("a", a), ("b", b)), a.mapping, b.mapping)
+            for a in a_maps for b in b_maps]
 
 
 def check_condition_e_instances(X: FiniteAlgebra, targets: list[FiniteAlgebra],
@@ -300,11 +302,12 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
     diagonal law holds may fail.  Sub-checks beyond caps are skipped, not
     failed: a pair whose ``check_np_pair`` is refused is left out, a lattice
     refused by any cap (``lattice_count`` included) leaves
-    ``shifting_holds`` and ``centralic_ok`` None, and a parameter object
-    whose condition-d check is refused adds no instances.  The targets of
-    condition d are the catalog's members: those above ``caps.hom_tgt`` are
-    dropped and the others still run.  The parameter objects default to the
-    catalog too.
+    ``shifting_holds`` and ``centralic_ok`` None, a refused family A x B -> C
+    skips condition d, a refused parameter object adds no instances while
+    the others run, and a refused diagonal law raises no discrepancy.  The
+    targets of condition d are the catalog's members: those above
+    ``caps.hom_tgt`` are dropped and the others still run.  The parameter
+    objects default to the catalog too.
     """
     params = parameter_objects if parameter_objects is not None else list(catalog)
     pairs: list[PairCrossCheck] = []
@@ -332,29 +335,26 @@ def cross_check_conditions(catalog: list[FiniteAlgebra],
                 if centralic and not np.holds:
                     discrepancies.append(
                         f"centralic passes but the pair law fails on ({A.name}, {B.name})")
-            d_instances = 0
-            d_failures: list[tuple[str, int]] = []
+            d = ConditionReport("d", 0, ())
             if np.holds:
-                # A large target is dropped and the others still run; any
-                # other refusal skips X.
+                # A large target is dropped and the others still run.
                 usable_targets = [C for C in catalog
                                   if C.signature == A.signature and C.size <= caps.hom_tgt]
-                for X in params:
-                    if X.signature != A.signature:
-                        continue
-                    report = _unless_refused(
-                        lambda: check_condition_d_instances(A, B, usable_targets, [X], caps))
-                    if report is None:
-                        continue
-                    d_instances += report.instances
-                    if report.failures:
-                        d_failures.append((X.name, len(report.failures)))
-                        # Under np(A, B) condition d cannot fail, so this
-                        # runs only if the theory or the code is wrong.
-                        if check_np_pair(X, X, caps).holds:
-                            discrepancies.append(
-                                f"generalized-element failure on ({A.name}, {B.name}) "
-                                f"with parameter {X.name} though its diagonal law holds")
+                d = _unless_refused(lambda: _element_report(
+                    "d", P, usable_targets, [X for X in params if X.signature == A.signature],
+                    lambda X: _unless_refused(lambda: _pair_elements(A, B, X, caps)) or (),
+                    caps)) or d
+            d_failures: list[tuple[str, int]] = []
+            for X in params:
+                # Under np(A, B) condition d cannot fail, so this runs only
+                # if the theory or the code is wrong.
+                if n := sum(dict(f.maps)["a"].source is X for f in d.failures):
+                    d_failures.append((X.name, n))
+                    law = _unless_refused(lambda: check_np_pair(X, X, caps))
+                    if law is not None and law.holds:
+                        discrepancies.append(
+                            f"generalized-element failure on ({A.name}, {B.name}) "
+                            f"with parameter {X.name} though its diagonal law holds")
             pairs.append(PairCrossCheck(A.name, B.name, np.holds, shifting,
-                                        centralic, d_instances, tuple(d_failures)))
+                                        centralic, d.instances, tuple(d_failures)))
     return CrossCheckReport(tuple(pairs), tuple(discrepancies))

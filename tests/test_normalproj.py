@@ -7,7 +7,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, SignatureMismatch, check_c
                     check_condition_d_instances, check_condition_e_instances,
                     check_np_pair, centralic_check, cross_check_conditions,
                     enumerate_homomorphisms, identity_hom, kernel_congruence,
-                    op_table, product, shifting_shape_check, zero_hom)
+                    op_table, product, ProductAlgebra, shifting_shape_check, zero_hom)
 from abelia import core, normalproj
 from abelia.catalog import _cyclic
 from oracles import np_hom_refutes, np_partition_oracle
@@ -280,6 +280,12 @@ def test_each_map_family_is_listed_once_per_report(cat, monkeypatch):
     check_condition_e_instances(P3, [P3], [P2, P3])
     assert listed.count((product(P3, P3), P3)) == 1
     assert listed.count((P2, P3)) == listed.count((P3, P3)) == 1
+    # The survey lists each family A x B -> C once per pair, not once per
+    # parameter object.
+    listed.clear()
+    cross_check_conditions(list(cat.values()))
+    families = [(X, Y) for X, Y in listed if isinstance(X, ProductAlgebra)]
+    assert families and all(families.count(f) == 1 for f in families)
 
 
 def test_condition_e_examples(cat):
@@ -407,20 +413,26 @@ def test_cross_check_pointed(cat, monkeypatch):
 
 def test_cross_check_records_a_condition_d_failure(cat, monkeypatch):
     # Under np(A, B) condition d cannot fail, so this branch runs only when
-    # the theory or a check is wrong.  A stub reports one failure per
-    # parameter: each is listed, and only a parameter whose own diagonal law
-    # holds (T1, not P2) raises a discrepancy.
-    monkeypatch.setattr(normalproj, "check_condition_d_instances",
-                        lambda A, B, targets, params, caps:
-                        normalproj.ConditionReport("d", 1, (None,)))
+    # the theory or a check is wrong.  A stub reports one instance and one
+    # failure per parameter, whose `a` map has that parameter as its source:
+    # each is listed, and only a parameter whose own diagonal law holds (T1,
+    # not P2) raises a discrepancy.  Under cg=3 the law of P2 (P2 x P2 has 4
+    # elements) is refused, which raises none either and keeps the failure.
+    def one_failure_each(tag, P, targets, params, elements, caps):
+        return normalproj.ConditionReport(tag, len(params), tuple(
+            normalproj.ConditionFailure((("a", identity_hom(X)),), (0,), 1, 0)
+            for X in params))
+
+    monkeypatch.setattr(normalproj, "_element_report", one_failure_each)
     T = trivial(cat["P2"].signature)
-    report = cross_check_conditions([T], parameter_objects=[T, cat["P2"]])
-    (pair,) = report.pairs
-    assert pair.np_holds and pair.d_instances == 2
-    assert pair.d_failures == (("T1", 1), ("P2", 1))
-    assert report.discrepancies == (
-        "generalized-element failure on (T1, T1) with parameter T1 though its "
-        "diagonal law holds",)
+    for caps in (Caps(), Caps(cg=3)):
+        report = cross_check_conditions([T], parameter_objects=[T, cat["P2"]], caps=caps)
+        (pair,) = report.pairs
+        assert pair.np_holds and pair.d_instances == 2
+        assert pair.d_failures == (("T1", 1), ("P2", 1))
+        assert report.discrepancies == (
+            "generalized-element failure on (T1, T1) with parameter T1 though its "
+            "diagonal law holds",)
 
 
 def test_cross_check_trivial(cat):
