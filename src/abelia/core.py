@@ -511,9 +511,10 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
     not an error.  Each map is a ``Homomorphism`` built from a table of
     ``_hom_tables`` without re-checking, so it is refused at ``limit`` as
     that stream is.  When the signature has no op of arity >= 1 the tables
-    are a product of free cells and come in blocks, with no search.  The
-    condition checks in ``normalproj``, ``find_internal_subtractions`` and
-    the map loop of ``crystallographic_report`` take these objects;
+    come from one ``itertools.product`` over the free cells, with no
+    search.  The condition checks in ``normalproj``,
+    ``find_internal_subtractions`` and the map loop of
+    ``crystallographic_report`` take these objects;
     ``structures.internal_subtraction_tables`` reads ``_hom_tables`` and
     builds none.
     """
@@ -535,9 +536,10 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
     cell of ``args``.  Constants and pins are set first and settled once,
     at the root.  If then no cell is watched, the signature has only
     constants, every map that keeps the cells set so far commutes, and the
-    stream is ``_free_product``: its count m ** k, for k free cells, is
-    known at once, so a stream past the cap is refused before its first
-    table with that count as ``needed``.
+    stream is one ``itertools.product`` with a pool per cell: range(m) for
+    each of the k free cells, the set value for the others.  Its count
+    m ** k is known at once, so a stream past the cap is refused before
+    its first table with that count as ``needed``.
 
     Otherwise the search backtracks over carrier elements in increasing
     order with image candidates in increasing order.  After every choice it
@@ -556,7 +558,7 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
             raise ValueError(f"pinned entry {e}->{v} out of range")
     n, m = X.size, Y.size
     watch: list[list] = [[] for _ in range(n)]
-    forced = [(0, 0)] + sorted(pins.items())
+    forced = sorted(pins.items())
     for opname, arity in X.signature.ops:
         st, tt = X.tables[opname], Y.tables[opname]
         if arity == 0:
@@ -601,7 +603,10 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
         return
     what, cap = limit or ("", math.inf)
     if not any(watch):
-        yield from _free_product(partial, m, what, cap)
+        k = partial.count(-1)
+        if m ** k > cap:
+            raise CapExceeded(what, m ** k, cap)
+        yield from itertools.product(*[range(m) if v < 0 else (v,) for v in partial])
         return
     # Depth-first over frames [cell, next candidate, trail mark], one per
     # branching cell; every candidate is tried from the state at the mark.
@@ -631,41 +636,6 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
                 break
         else:
             return
-
-
-# ``_free_product`` builds this many tables at a time, at most.
-_BLOCK = 4096
-
-
-def _free_product(partial: list[int], m: int, what: str,
-                  cap: float) -> Iterator[tuple[int, ...]]:
-    """Every table that fills the free cells (-1) of ``partial`` with
-    values in range(m), in lexicographic order: the product of range(m)
-    over the free cells, the lowest cell the most significant digit.
-
-    With k free cells, the last j take the columns of
-    ``coordinates((m,) * j)``, for the largest j with m ** j <= ``_BLOCK``,
-    and the first k - j one ``itertools.product`` prefix per block; every
-    other cell is a constant column.  Each block is one ``zip`` of the
-    columns.  More than ``cap`` tables are refused before the first.
-    """
-    free = [e for e, v in enumerate(partial) if v < 0]
-    k = len(free)
-    if m ** k > cap:
-        raise CapExceeded(what, m ** k, cap)
-    j = 0
-    while j < k and m ** (j + 1) <= _BLOCK:
-        j += 1
-    block = m ** j
-    vector = vector_type(m)
-    cols = [vector((v,)) * block if v >= 0 else None for v in partial]
-    for e, col in zip(free[k - j:], coordinates((m,) * j)):
-        cols[e] = col
-    head = free[:k - j]
-    for prefix in itertools.product(range(m), repeat=k - j):
-        for e, v in zip(head, prefix):
-            cols[e] = vector((v,)) * block
-        yield from zip(*cols)
 
 
 def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homomorphism]:

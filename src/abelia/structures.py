@@ -79,8 +79,9 @@ def internal_subtraction_tables(A: FiniteAlgebra,
     ``caps.structure_src``, and from the stream when there are more than
     ``caps.structure_tables`` tables.  A signature with only constants, as
     on a bare pointed set, leaves every unpinned cell free, so the stream
-    is a product of those cells, counted and refused before its first
-    table; otherwise the search refuses at table ``structure_tables + 1``.
+    is one ``itertools.product`` over those cells, counted and refused
+    before its first table; otherwise the search refuses at table
+    ``structure_tables + 1``.
     The CLI's ``internal-subtractions`` reads these tables into one flat
     bytearray, one byte per cell, when |A| <= 256.
     """

@@ -304,7 +304,7 @@ def test_constant_only_search_with_no_free_cell_or_one_target_element():
 
 
 def test_constant_only_search_over_many_blocks():
-    # P4's subtractions: nine free cells, 4 ** 9 tables in 64 blocks
+    # P4's subtractions: nine free cells, 4 ** 9 tables from one product
     P4 = _pointed(4)
     PP, pins = product(P4, P4), dict(subtraction_cells(4))
     got = list(_hom_tables(PP, P4, pins))
@@ -314,8 +314,8 @@ def test_constant_only_search_over_many_blocks():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_constant_only_search_into_tuple_vectors(n):
-    # 257 elements fit no byte, so the columns are tuples; P3 has 257 ** 2
-    # tables, more than one block.
+    # A target of 257 elements, more than a byte holds; P3 has 257 ** 2
+    # tables, each cell's pool range(257).
     X, Y = _pointed(n), _pointed(257)
     got = list(_hom_tables(X, Y))
     assert len(got) == 257 ** (n - 1)
@@ -330,6 +330,16 @@ def test_constant_only_search_refuses_by_its_count_before_the_first_table():
     with pytest.raises(CapExceeded) as err:
         next(stream)
     assert (err.value.what, err.value.needed, err.value.limit) == ("maps", 27, 26)
+
+
+def test_constant_only_search_is_lazy():
+    # 2 ** 39 tables are admitted without a limit; only the first five are made.
+    X, Y = _pointed(40), _pointed(2)
+    got = list(itertools.islice(_hom_tables(X, Y), 5))
+    assert got == [(0,) * 37 + tail for tail in itertools.product((0, 1), repeat=3)][:5]
+    with pytest.raises(CapExceeded) as err:
+        next(_hom_tables(X, Y, limit=("maps", 2 ** 39 - 1)))
+    assert (err.value.what, err.value.needed, err.value.limit) == ("maps", 2 ** 39, 2 ** 39 - 1)
 
 
 def test_search_refuses_past_its_limit(cat):
