@@ -30,8 +30,9 @@ class Caps:
     # free algebras: largest exponent |A|**k and largest generated carrier
     free_positions: int = 16
     free_carrier: int = 4096
-    # clone generation: most distinct term-operation tables kept, leaves
-    # aside; a closure at the cap with no new table left is still complete
+    # clone generation: most distinct term-operation tables kept.  The leaves
+    # count toward it and are always kept, so max(cap, leaves) are kept; a
+    # closure at the cap with no new table left is still complete
     clone_tables: int = 100_000
 
     @classmethod

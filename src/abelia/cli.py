@@ -264,31 +264,25 @@ def _cmd_internal_subtractions(args, caps: Caps) -> int:
 def _cmd_abelian(args, caps: Caps) -> int:
     A = _resolve(args, args.a)
     subs = find_internal_subtractions(A, caps)
+    head = f"abelian({A.name}): "
     if not subs:
-        _emit(args,
-              lambda: _payload("abelian", [A.name], False,
-                               {"reason": "no internal subtraction"}, 0, subtractions=0),
-              lambda: [f"abelian({A.name}): no internal subtraction"])
-        return 1
-    result = derive_abelian(subs[0])
-    if result.ok:
-        st = result.structure
-        _emit(args,
-              lambda: _payload("abelian", [A.name], True, None, len(subs),
-                               subtractions=len(subs), add=list(st.add),
-                               neg=list(st.neg), failed_axiom=None),
-              lambda: [f"abelian({A.name}): holds (from {len(subs)} subtraction(s), "
-                       "first in table order)",
-                       f"add: {list(st.add)}", f"neg: {list(st.neg)}"])
-        return 0
+        holds, witness, extras = False, {"reason": "no internal subtraction"}, {}
+        lines = [head + "no internal subtraction"]
+    else:
+        result = derive_abelian(subs[0])
+        holds, witness, extras = result.ok, None, {"failed_axiom": result.failed_axiom}
+        if result.ok:
+            extras["add"], extras["neg"] = list(result.structure.add), list(result.structure.neg)
+            lines = [head + f"holds (from {len(subs)} subtraction(s), first in table order)",
+                     f"add: {extras['add']}", f"neg: {extras['neg']}"]
+        else:
+            witness = {"axiom": result.failed_axiom, "point": list(result.witness)}
+            lines = [head + f"fails axiom={result.failed_axiom} at {witness['point']}"]
     _emit(args,
-          lambda: _payload("abelian", [A.name], False,
-                           {"axiom": result.failed_axiom,
-                            "point": list(result.witness)}, len(subs),
-                           subtractions=len(subs), failed_axiom=result.failed_axiom),
-          lambda: [f"abelian({A.name}): fails axiom={result.failed_axiom} "
-                   f"at {list(result.witness)}"])
-    return 1
+          lambda: _payload("abelian", [A.name], holds, witness, len(subs),
+                           subtractions=len(subs), **extras),
+          lambda: lines)
+    return 0 if holds else 1
 
 
 def _cmd_crystal(args, caps: Caps) -> int:

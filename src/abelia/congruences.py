@@ -254,12 +254,16 @@ def cg(A: FiniteAlgebra, pairs, caps: Caps = DEFAULT_CAPS) -> Congruence:
     return Congruence(n, _close(_op_rows(A), n, pairs))
 
 
+def _least_members(keys) -> tuple[int, ...]:
+    """The partition of 0..n-1 by the key of each x, as a least-representative
+    table: entry x is the least member with the key of x."""
+    least: dict = {}
+    return tuple(least.setdefault(key, x) for x, key in enumerate(keys))
+
+
 def kernel_congruence(h: Homomorphism) -> Congruence:
     """The congruence identifying elements with equal images under h."""
-    least: dict[int, int] = {}
-    for x, v in enumerate(h.mapping):
-        least.setdefault(v, x)
-    return Congruence(h.source.size, tuple(least[v] for v in h.mapping))
+    return Congruence._proved(h.source.size, _least_members(h.mapping))
 
 
 def join(A: FiniteAlgebra, t1: Congruence, t2: Congruence,
@@ -276,12 +280,7 @@ def meet(t1: Congruence, t2: Congruence) -> Congruence:
     """Blockwise intersection; always a congruence when both arguments are."""
     if t1.size != t2.size:
         raise ValueError("congruences live on different carriers")
-    least: dict[tuple[int, int], int] = {}
-    rep = []
-    for x in range(t1.size):
-        key = (t1.rep[x], t2.rep[x])
-        rep.append(least.setdefault(key, x))
-    return Congruence(t1.size, tuple(rep))
+    return Congruence._proved(t1.size, _least_members(zip(t1.rep, t2.rep)))
 
 
 def all_congruences(A: FiniteAlgebra, caps: Caps = DEFAULT_CAPS) -> list[Congruence]:

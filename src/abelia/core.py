@@ -71,6 +71,12 @@ class CapExceeded(AbeliaError):
 ZERO_OP = "zero"
 
 
+def _is_token(name: str) -> bool:
+    """Whether ``parse_algebra`` reads ``name`` back as one token: it is not
+    empty and has no whitespace and no ``#``, which starts a comment."""
+    return name.split() == [name] and "#" not in name
+
+
 def term_variable(name: str) -> int | None:
     """The index i of a term variable ``x<i>`` (decimal digits after the
     x), or None for any other name."""
@@ -89,7 +95,7 @@ class Signature:
         if len(set(names)) != len(names):
             raise InvalidAlgebra(f"duplicate operation names in {names}")
         for name, arity in self.ops:
-            if not name or "#" in name or any(c.isspace() for c in name):
+            if not _is_token(name):
                 raise InvalidAlgebra(f"bad operation name {name!r}")
             if term_variable(name) is not None:
                 raise InvalidAlgebra(f"operation name {name!r} is a term variable")
@@ -118,8 +124,6 @@ POINTED = Signature.make()
 
 def op_table(size: int, arity: int, fn) -> tuple[int, ...]:
     """Row-major operation table computed from a python function."""
-    if arity == 0:
-        return (fn(),)
     return tuple(fn(*args) for args in itertools.product(range(size), repeat=arity))
 
 
@@ -219,6 +223,8 @@ class FiniteAlgebra:
     tables: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self):
+        if not _is_token(self.name):
+            raise InvalidAlgebra(f"bad algebra name {self.name!r}")
         if self.size < 1:
             raise InvalidAlgebra("carrier must be non-empty")
         want = {name for name, _ in self.signature.ops}
@@ -237,6 +243,10 @@ class FiniteAlgebra:
         return range(self.size)
 
     def apply(self, opname: str, *args: int) -> int:
+        arity = self.signature.arity(opname)
+        if len(args) != arity:
+            raise ValueError(f"operation {opname!r} has arity {arity}, "
+                             f"given {len(args)} arguments")
         idx = 0
         for a in args:
             idx = idx * self.size + a
@@ -512,11 +522,7 @@ def enumerate_homomorphisms(X: FiniteAlgebra, Y: FiniteAlgebra,
     ``_hom_tables`` without re-checking, so it is refused at ``limit`` as
     that stream is.  When the signature has no op of arity >= 1 the tables
     come from one ``itertools.product`` over the free cells, with no
-    search.  The condition checks in ``normalproj``,
-    ``find_internal_subtractions`` and the map loop of
-    ``crystallographic_report`` take these objects;
-    ``structures.internal_subtraction_tables`` reads ``_hom_tables`` and
-    builds none.
+    search.
     """
     proved = Homomorphism._proved
     for table in _hom_tables(X, Y, pinned, limit):

@@ -247,8 +247,8 @@ def verify_proof_construction_2(g: Homomorphism, s: InternalSubtraction,
     translation f(x, y) = f(0, y) makes g preserve addition, which must
     coincide with preserving subtraction.
     """
-    if g.source != s.algebra or g.target != s_prime.algebra:
-        raise ValueError("map endpoints do not match the subtraction carriers")
+    # First, so that a map between other carriers raises its ValueError.
+    subtraction = check_homomorphic(g, s, s_prime).holds
     left = derive_abelian(s)
     right = derive_abelian(s_prime)
     if not left.ok or not right.ok:
@@ -264,7 +264,6 @@ def verify_proof_construction_2(g: Homomorphism, s: InternalSubtraction,
     np = check_np_pair(X, X, caps)
     translation = not _moved(table, X.size, xs, ys) if np.holds else None
     addition = op_violation(a.add, a_p.add, X.size, g.target.size, 2, g.mapping) is None
-    subtraction = check_homomorphic(g, s, s_prime).holds
     return Construction2Report(True, None, zero_ok, np.holds, translation,
                                addition, subtraction)
 
@@ -315,33 +314,27 @@ def crystallographic_report(catalog: list[FiniteAlgebra],
     for A in sorted(catalog, key=lambda X: X.name):
         np_self = _unless_refused(lambda: check_np_pair(A, A, caps).holds)
         np_square = _unless_refused(lambda: check_np_pair(A, product(A, A), caps).holds)
-        found = _unless_refused(lambda: find_internal_subtractions(A, caps))
-        subs = found or []
-        anomalies: list[str] = []
-        preconditions = np_self and np_square
-        group_ok: bool | None = None
-        abelian: bool | None = None
+        subs = _unless_refused(lambda: find_internal_subtractions(A, caps))
+        group_ok = abelian = None
+        problems: list[str] = []
         if subs:
             law = verify_group_law(subs[0])
-            group_ok = law.holds
             result = derive_abelian(subs[0])
-            abelian = result.ok
-        problems: list[str] = []
-        if len(subs) > 1:
-            problems.append(f"{A.name}: {len(subs)} internal subtractions")
-        if subs and not group_ok:
-            problems.append(f"{A.name}: group law fails at {law.witness}")
-        if subs and not abelian:
-            problems.append(f"{A.name}: derived structure fails {result.failed_axiom}")
+            group_ok, abelian = law.holds, result.ok
+            if len(subs) > 1:
+                problems.append(f"{A.name}: {len(subs)} internal subtractions")
+            if not group_ok:
+                problems.append(f"{A.name}: group law fails at {law.witness}")
+            if not abelian:
+                problems.append(f"{A.name}: derived structure fails {result.failed_axiom}")
+        preconditions = np_self and np_square
         if preconditions:
             violations.extend(problems)
-            if subs and abelian:
+            if abelian:
                 verified.append((A, subs[0]))
-        else:
-            anomalies.extend(problems)
         entries.append(CrystalEntry(A.name, np_self, np_square,
-                                    None if found is None else len(subs),
-                                    group_ok, abelian, tuple(anomalies)))
+                                    None if subs is None else len(subs), group_ok, abelian,
+                                    () if preconditions else tuple(problems)))
     hom_checks = 0
     # Only the subtraction is audited: the derived add and neg follow.  A
     # homomorphism g fixes 0, so if g preserves s, then

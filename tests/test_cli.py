@@ -426,6 +426,25 @@ def test_negative_caps_env_is_an_input_error(capsys, monkeypatch):
     assert err.startswith("error:") and "cg" in err and not out
 
 
+def test_caps_env_skips_empty_items_and_refuses_a_non_integer():
+    assert Caps.from_env(" cg=8, ,lattice=5,") == Caps(cg=8, lattice=5)
+    with pytest.raises(ValueError, match="cap 'cg' needs an integer, got 'many'"):
+        Caps.from_env("cg=many")
+
+
+@pytest.mark.parametrize("argv", [["np", "@builtin:Z2"], []])
+def test_usage_error_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: abelia")
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: abelia")
+
+
 def test_caps_env_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("ABELIA_CAPS", "cg=8")
     code, out, err = run(capsys, "np", "@builtin:Z3", "@builtin:Z3")

@@ -36,6 +36,13 @@ def test_evaluate_term(cat):
             evaluate_term(Z3, term, k)
 
 
+@pytest.mark.parametrize("search", [find_subtraction_term, find_unit_term])
+def test_term_search_on_one_element_stops_at_the_leaf_x1(search):
+    T1 = FiniteAlgebra("T1", 1, Signature.make(), {ZERO_OP: (0,)})
+    result = search(T1)
+    assert (result.status, str(result.term_op.witness), result.explored) == ("found", "x1", 1)
+
+
 # acceptance criterion 8: closures against the depth-6 oracle, all 2-element fixtures
 @pytest.mark.parametrize("name,count", [("P2", 3), ("S2", 4), ("Z2", 4), ("B2", 6)])
 def test_binary_clone_matches_depth_oracle(cat, name, count):

@@ -11,7 +11,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     factor_through_split_epi, free_algebra, generate_term_ops,
                     hom_violation, identity_hom, is_homomorphism,
                     kernel_congruence, op_table, pairing_hom, parse_algebra,
-                    product, quotient, serialize_algebra, zero_hom)
+                    product, quotient, serialize_algebra, subpower, zero_hom)
 from abelia.catalog import _cyclic
 from abelia.core import _hom_tables, subtraction_cells
 from oracles import backtrack_homs, brute_homs, commutes, oracle_product
@@ -70,6 +70,31 @@ def test_apply_is_row_major(cat):
     for i, (x, y) in enumerate(itertools.product(range(4), repeat=2)):
         assert Z4.tables["add"][i] == Z4.apply("add", x, y) == (x + y) % 4
     assert op_table(4, 2, lambda x, y: (x + y) % 4) == Z4.tables["add"]
+
+
+def test_apply_refuses_the_wrong_number_of_arguments(cat):
+    Z4 = cat["Z4"]
+    with pytest.raises(ValueError, match="'add' has arity 2, given 1 arguments"):
+        Z4.apply("add", 3)
+    with pytest.raises(ValueError, match="'neg' has arity 1, given 2 arguments"):
+        Z4.apply("neg", 1, 1)
+    assert Z4.apply("zero") == 0
+
+
+@pytest.mark.parametrize("name", ["my alg", "", "a#b"])
+def test_algebra_name_must_read_back_as_one_token(name):
+    # serialize_algebra writes the name as one token after "algebra".
+    with pytest.raises(InvalidAlgebra, match="bad algebra name"):
+        FiniteAlgebra(name, 1, POINTED, {"zero": (0,)})
+
+
+def test_built_algebra_names_round_trip(cat):
+    Z4 = cat["Z4"]
+    built = [product(cat["Z2"], cat["V4"]), quotient(Z4, cg(Z4, [(0, 2)]))[0],
+             free_algebra(cat["Z2"], 2)[0], subpower(Z4, [(1, 2)])[0]]
+    assert [A.name for A in built] == ["Z2xV4", "Z4/~", "Free(Z2,2)", "Sub(Z4^2)"]
+    for A in list(cat.values()) + built:
+        assert parse_algebra(serialize_algebra(A)).name == A.name
 
 
 @pytest.mark.parametrize("left,right", [("Z2", "Z2"), ("Z2", "Z4"), ("Z3", "V4"),
@@ -201,6 +226,18 @@ def test_zero_hom_needs_every_target_op_to_fix_zero():
 def test_product_signature_mismatch(cat):
     with pytest.raises(SignatureMismatch):
         product(cat["Z2"], cat["P2"])
+
+
+def test_op_membership_builds_no_product_table(cat):
+    P = product(cat["Z2"], cat["Z3"])
+    built = dict(P.tables._built)  # the zero table, read when P was checked
+    assert "add" in P.tables and "neg" in P.tables and "s" not in P.tables
+    assert P.tables._built == built and "add" not in built
+
+
+def test_enumerate_homomorphisms_refuses_another_signature(cat):
+    with pytest.raises(SignatureMismatch, match="Z2 and P2 have different signatures"):
+        next(enumerate_homomorphisms(cat["Z2"], cat["P2"]))
 
 
 def test_hom_violation_matches_oracle(cat):

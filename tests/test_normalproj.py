@@ -210,6 +210,14 @@ def test_parameter_objects_are_checked_after_the_first_target(cat):
         check_condition_e_instances(Z2, [Z2, Z3], [Z2, P2])
 
 
+def test_targets_and_parameter_objects_of_another_signature_are_refused(cat):
+    Z2, P2 = cat["Z2"], cat["P2"]
+    with pytest.raises(SignatureMismatch, match="P2 does not share Z2"):
+        check_condition_b(Z2, [P2])
+    with pytest.raises(SignatureMismatch, match="P2 does not share Z2"):
+        check_condition_d_instances(Z2, Z2, [Z2], [P2])
+
+
 def _condition_calls(cat):
     Z2, Z3, Z4, P2, P3 = (cat[n] for n in ("Z2", "Z3", "Z4", "P2", "P3"))
     P5 = FiniteAlgebra("P5", 5, P2.signature, {"zero": (0,)})

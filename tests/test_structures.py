@@ -295,6 +295,13 @@ def test_construction_2_matches_check_homomorphic(cat):
                     assert report.translation_ok == direct
 
 
+def test_construction_2_refuses_a_map_between_other_carriers(cat):
+    (s2,) = find_internal_subtractions(cat["Z2"])
+    (s3,) = find_internal_subtractions(cat["Z3"])
+    with pytest.raises(ValueError, match="map endpoints do not match"):
+        verify_proof_construction_2(identity_hom(cat["Z2"]), s2, s3)
+
+
 def test_crystal_on_groups(cat):
     report = crystallographic_report([cat["Z2"], cat["Z3"], product(cat["Z2"], cat["Z2"])])
     assert report.ok
@@ -387,6 +394,17 @@ def test_crystal_skips_a_subtraction_search_past_its_table_cap(cat):
     report = crystallographic_report([cat["P2"], P5])
     assert _entries(report)[1] == ("P5", False, False, None, None, None, ())
     assert _entries(report)[0] == _entries(crystallographic_report([cat["P2"]]))[0]
+
+
+def test_crystal_audits_no_map_across_signatures(cat):
+    # Z3 with s(x, y) = x - y as its only op: 3 maps into itself, Z2 has 2,
+    # and none runs between the two signatures.
+    D3 = FiniteAlgebra("D3", 3, Signature.make((("s", 2),)),
+                       {"zero": (0,), "s": op_table(3, 2, lambda x, y: (x - y) % 3)})
+    report = crystallographic_report([cat["Z2"], D3])
+    assert _entries(report) == [("D3", True, True, 1, True, True, ()),
+                                ("Z2", True, True, 1, True, True, ())]
+    assert (report.hom_checks, report.violations) == (5, ())
 
 
 def test_a_map_preserving_subtraction_preserves_add_and_neg(cat):
