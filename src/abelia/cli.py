@@ -119,8 +119,7 @@ def _failures(args, check: str, head: str, names, report) -> int:
 def _cmd_conditions(args, caps: Caps) -> int:
     which = args.which
     if args.params is not None and which not in ("d", "e"):
-        print(f"error: condition {which} takes no --params", file=sys.stderr)
-        return 2
+        raise ValueError(f"condition {which} takes no --params")
     sources = [_resolve(args, s) for s in args.sources]
     params = ([_resolve(args, s) for s in args.params.split(",")]
               if args.params else None)
@@ -128,8 +127,7 @@ def _cmd_conditions(args, caps: Caps) -> int:
     B = sources[1] if len(sources) > 1 else A
     if which == "a":
         if len(sources) > 2:
-            print("error: condition a takes at most two algebras", file=sys.stderr)
-            return 2
+            raise ValueError("condition a takes at most two algebras")
         return _np_like(args, "condition-a", A, B, check_np_pair(A, B, caps))
     if which == "d":
         names = [A.name, B.name]

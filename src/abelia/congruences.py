@@ -215,15 +215,18 @@ def _close(rows, n: int, pairs) -> tuple[int, ...]:
             x = parent[x]
         return x
 
-    parent = list(range(n))
-    linked: list[tuple[int, int]] = []
-    for x, y in pairs:
+    def union(x: int, y: int) -> None:
         rx, ry = find(x), find(y)
         if rx != ry:
             if ry < rx:
                 rx, ry = ry, rx
             parent[ry] = rx
             linked.append((rx, ry))
+
+    parent = list(range(n))
+    linked: list[tuple[int, int]] = []
+    for x, y in pairs:
+        union(x, y)
     while linked:
         r, s = linked.pop()
         for row in rows:
@@ -231,12 +234,7 @@ def _close(rows, n: int, pairs) -> tuple[int, ...]:
             # only grow, so this cheap filter drops only identified pairs.
             for u, v in [(u, v) for u, v in zip(row(r), row(s))
                          if parent[u] != parent[v]]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    if rv < ru:
-                        ru, rv = rv, ru
-                    parent[rv] = ru
-                    linked.append((ru, rv))
+                union(u, v)
     for x in range(len(parent)):
         parent[x] = parent[parent[x]]
     return tuple(parent)

@@ -164,9 +164,11 @@ def coordinates(radices: tuple[int, ...]) -> tuple:
 
 
 def pointwise(table: tuple[int, ...], n: int, arity: int):
-    """The applier of an ``arity``-ary op (arity >= 1) on n elements to
-    column vectors of ``vector_type(n)``, one column per argument: entry r
-    of ``apply(cols)`` is the op's value at ``(cols[0][r], cols[1][r], ...)``.
+    """The applier of an ``arity``-ary op on n elements to column vectors of
+    ``vector_type(n)``, one column per argument: entry r of ``apply(cols)``
+    is the op's value at ``(cols[0][r], cols[1][r], ...)``.  The row-major
+    order on no arguments has one row, so a constant's applier takes no
+    columns and returns its one entry as a vector.
 
     When ``n ** arity <= 256`` the columns are folded into one integer,
     ``acc = acc * n + int(col)`` with each column read as a little-endian
@@ -175,12 +177,15 @@ def pointwise(table: tuple[int, ...], n: int, arity: int):
     and one ``bytes.translate`` maps every index to its value.  Larger
     tables go through nested tuples and a chain of ``map`` calls.
 
-    Entry r depends on row r alone, so on every path columns that are each
+    Entry r depends on row r alone, so for arity >= 1 columns that are each
     c blocks joined end to end (``concat``), block i of every column of one
     length, give the c blocks' outputs joined end to end.  The subpower and
     clone closures rely on this to evaluate a whole run of last arguments
     in one call.
     """
+    vector = vector_type(n)
+    if arity == 0:
+        return lambda cols: vector(table)
     if n ** arity <= 256:
         lookup = bytes(table) + bytes(256 - len(table))
         from_bytes = int.from_bytes
@@ -196,7 +201,6 @@ def pointwise(table: tuple[int, ...], n: int, arity: int):
     nested = table
     for _ in range(arity - 1):
         nested = tuple(nested[i:i + n] for i in range(0, len(nested), n))
-    vector = vector_type(n)
 
     def apply(cols):
         it = map(nested.__getitem__, cols[0])
@@ -249,6 +253,9 @@ class FiniteAlgebra:
                              f"given {len(args)} arguments")
         idx = 0
         for a in args:
+            if not 0 <= a < self.size:
+                raise ValueError(f"argument {a} of {opname!r} is outside the carrier "
+                                 f"0..{self.size - 1}")
             idx = idx * self.size + a
         return self.tables[opname][idx]
 
@@ -274,8 +281,6 @@ def op_violation(st: tuple[int, ...], tt: tuple[int, ...], n: int, m: int, arity
     m elements fails to commute with one op, given by its table st on the
     source and tt on the target; None if it commutes.  Whole columns are
     compared; a row is located only on a mismatch."""
-    if arity == 0:
-        return () if mapping[st[0]] != tt[0] else None
     vector = vector_type(m)
     image = mapping.__getitem__
     cols = coordinates((n,) * arity)
@@ -484,8 +489,6 @@ def _product_table(A: FiniteAlgebra, B: FiniteAlgebra, opname: str,
     ta = A.tables[opname]
     tb = B.tables[opname]
     nb = B.size
-    if arity == 0:
-        return (ta[0] * nb + tb[0],)
     cols = coordinates((A.size, nb) * arity)
     left = pointwise(ta, A.size, arity)(cols[0::2])
     right = pointwise(tb, nb, arity)(cols[1::2])
@@ -664,9 +667,6 @@ def quotient(A: FiniteAlgebra, theta: "Congruence") -> tuple[FiniteAlgebra, Homo
     tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
         table = A.tables[opname]
-        if arity == 0:
-            tables[opname] = (block[table[0]],)
-            continue
         cols = [vector(map(reps.__getitem__, col)) for col in coordinates((size,) * arity)]
         tables[opname] = tuple(map(block.__getitem__, pointwise(table, A.size, arity)(cols)))
     Q = FiniteAlgebra(f"{A.name}/~", size, A.signature, tables)
@@ -732,9 +732,10 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
         return index[vec]
 
     gen_ids = [intern(g) for g in gens]
-    for opname, arity in A.signature.ops:
-        if arity == 0 and opname != ZERO_OP:
-            intern(vector(A.tables[opname] * m))
+    # Zero interns to element 0, so only the other constants can be new.
+    tables: dict[str, tuple[int, ...]] = {
+        opname: (intern(vector(A.tables[opname] * m)),)
+        for opname, arity in A.signature.ops if arity == 0}
 
     # Round r applies every op to the argument tuples over the first
     # ``known`` elements that it has not met before, so each tuple of the
@@ -770,11 +771,8 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
         prev = known
 
     size = len(elems)
-    tables: dict[str, tuple[int, ...]] = {}
     for opname, arity in A.signature.ops:
-        if arity == 0:
-            tables[opname] = (index[vector(A.tables[opname] * m)],)
-        else:
+        if arity >= 1:
             rows = map(images[opname].__getitem__,
                        itertools.product(range(size), repeat=arity - 1))
             tables[opname] = tuple(itertools.chain.from_iterable(rows))
@@ -816,9 +814,6 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         lines += [lineno] * len(found)
     pos = 0
 
-    def peek() -> str | None:
-        return words[pos] if pos < len(words) else None
-
     def take(what: str) -> tuple[int, str]:
         nonlocal pos
         if pos >= len(words):
@@ -833,6 +828,11 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             return line, int(word)
         except ValueError:
             raise ParseError(f"expected {what}, got {word!r}", line) from None
+
+    def keyword(word: str, what: str = "", fault: str = "expected '{0}', got {1!r}") -> None:
+        line, got = take(what or f"the keyword '{word}'")
+        if got != word:
+            raise ParseError(fault.format(word, got), line)
 
     def take_table(opname: str, count: int) -> tuple[int, ...]:
         # The entries are read in one pass.  On a fault the token loop reads
@@ -851,39 +851,34 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         pos += count
         return entries
 
-    line, word = take("the keyword 'algebra'")
-    if word != "algebra":
-        raise ParseError(f"expected 'algebra', got {word!r}", line)
+    keyword("algebra")
     _, name = take("an algebra name")
 
-    line, word = take("the keyword 'size'")
-    if word != "size":
-        raise ParseError(f"expected 'size', got {word!r}", line)
+    keyword("size")
     line, size = take_int("the carrier size")
     if size < 1:
         raise ParseError("size must be at least 1", line)
 
-    line, word = take("the 'zero 0' declaration")
-    if word != "zero":
-        raise ParseError(f"missing 'zero 0' declaration, got {word!r}", line)
-    line, word = take("the zero element")
-    if word != "0":
-        raise ParseError("the distinguished point must be element 0", line)
+    keyword("zero", "the 'zero 0' declaration", "missing 'zero 0' declaration, got {1!r}")
+    keyword("0", "the zero element", "the distinguished point must be element 0")
 
     ops: list[tuple[str, int]] = []
     tables: dict[str, tuple[int, ...]] = {ZERO_OP: (0,)}
-    while peek() is not None:
-        line, word = take("the keyword 'op'")
-        if word != "op":
-            raise ParseError(f"expected 'op', got {word!r}", line)
+    while pos < len(words):
+        keyword("op")
         line, opname = take("an operation name")
-        if opname == ZERO_OP or opname in tables:
+        if opname in tables:
             raise ParseError(f"duplicate operation {opname!r}", line)
         line, arity = take_int("an arity")
         if arity < 0:
             raise ParseError("arity must be non-negative", line)
         ops.append((opname, arity))
-        tables[opname] = take_table(opname, size ** arity)
+        # With size >= 2 a table of arity >= left.bit_length() has more
+        # entries than the tokens left, so left + 1 stands in for its length,
+        # which can be too large to compute.
+        left = len(words) - pos
+        count = left + 1 if size >= 2 and arity >= left.bit_length() else size ** arity
+        tables[opname] = take_table(opname, count)
     signature = Signature(((ZERO_OP, 0),) + tuple(ops))
     return FiniteAlgebra(name, size, signature, tables)
 
@@ -896,9 +891,6 @@ def serialize_algebra(A: FiniteAlgebra) -> str:
             continue
         lines.append(f"op {opname} {arity}")
         table = A.tables[opname]
-        if arity == 0:
-            lines.append(str(table[0]))
-            continue
         for start in range(0, len(table), A.size):
             lines.append(" ".join(str(v) for v in table[start:start + A.size]))
     return "\n".join(lines) + "\n"

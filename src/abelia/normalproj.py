@@ -58,10 +58,6 @@ class ConditionReport:
         return not self.failures
 
 
-def _np_generators(P: ProductAlgebra) -> list[tuple[int, int]]:
-    return [(P.pair(a, 0), 0) for a in range(P.left.size)]
-
-
 def _kills_slice(t, nb: int, us) -> bool:
     """Whether t(u, 0) = 0 for every u in us, where t is a table over
     A x B with (u, v) at u * nb + v."""
@@ -91,7 +87,7 @@ def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
     containing theta, and the quotient by theta realizes the extreme case.
     """
     P = product(A, B)
-    theta = cg(P, _np_generators(P), caps)
+    theta = cg(P, [(P.pair(a, 0), 0) for a in range(A.size)], caps)
     witness = _np_witness(P, theta)
     return NpVerdict(witness is None, theta, witness)
 

@@ -1,6 +1,8 @@
 import json
+import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -336,6 +338,40 @@ def test_crystal(capsys):
     assert payload["holds"] is True
     assert payload["hom_checks"] > 0
     assert {e["name"] for e in payload["entries"]} == {"Z2", "Z3"}
+
+
+def test_crystal_lists_its_violations(capsys, monkeypatch):
+    # A map that preserves no subtraction, reported once per map audited.
+    from abelia import structures
+    monkeypatch.setattr(structures, "check_homomorphic",
+                        lambda g, s, s_prime: structures.LawVerdict(False, (0, 1)))
+    code, out, _ = run(capsys, "crystal", "@builtin:Z2")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "hom checks: 2", "violations: 2",
+        "  map Z2->Z2 [0, 0] not homomorphic at (0, 1)",
+        "  map Z2->Z2 [0, 1] not homomorphic at (0, 1)"]
+
+
+def test_a_table_longer_than_the_file_exits_2_at_once(tmp_path):
+    # Z2 with add last and its arity changed.  The table length,
+    # 2 ** 99999999999, does not fit in memory, so it must never be computed:
+    # the child runs under 1 GB of address space and a 10 s timeout, limits
+    # this process does not share.
+    path = tmp_path / "z2.alg"
+    path.write_text("algebra Z2\nsize 2\nzero 0\nop neg 1\n0 1\n"
+                    "op add 99999999999\n0 1\n1 0\n", encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "abelia", "np", str(path), str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: line 8: unexpected end of input, "
+                           "expected a table entry for add\n")
 
 
 def test_congruences(capsys):

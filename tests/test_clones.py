@@ -53,6 +53,11 @@ def test_binary_clone_matches_depth_oracle(cat, name, count):
     assert len(tables) == count
 
 
+def test_term_ops_refuse_a_negative_arity(cat):
+    with pytest.raises(ValueError, match="arity must be non-negative"):
+        generate_term_ops(cat["Z2"], -1)
+
+
 def test_unary_clone(cat):
     ops = generate_term_ops(cat["Z3"], 1)
     assert ops.complete

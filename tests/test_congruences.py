@@ -43,6 +43,8 @@ def test_discrete_and_all_pairs():
     assert Congruence.all_pairs(3).num_blocks == 1
     assert Congruence.all_pairs(3).contains(Congruence.discrete(3))
     assert not Congruence.discrete(3).contains(Congruence.all_pairs(3))
+    with pytest.raises(ValueError, match="different carriers"):
+        Congruence.all_pairs(3).contains(Congruence.discrete(2))
 
 
 @pytest.mark.parametrize("name,pairs", [

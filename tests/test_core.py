@@ -13,7 +13,7 @@ from abelia import (Caps, CapExceeded, FiniteAlgebra, Homomorphism,
                     kernel_congruence, op_table, pairing_hom, parse_algebra,
                     product, quotient, serialize_algebra, subpower, zero_hom)
 from abelia.catalog import _cyclic
-from abelia.core import _hom_tables, subtraction_cells
+from abelia.core import _hom_tables, op_violation, pointwise, subtraction_cells
 from oracles import backtrack_homs, brute_homs, commutes, oracle_product
 
 
@@ -25,6 +25,7 @@ def test_signature_requires_zero():
     assert sig.arity("f") == 2
     with pytest.raises(KeyError):
         sig.arity("g")
+    assert Signature.make((("f", 1), ("zero", 0))).ops == (("f", 1), ("zero", 0))
 
 
 def test_signature_rejects_bad_names():
@@ -56,6 +57,8 @@ def test_algebra_validation():
         FiniteAlgebra("X", 2, POINTED, {"zero": (1,)})
     with pytest.raises(InvalidAlgebra):
         FiniteAlgebra("X", 2, POINTED, {})
+    with pytest.raises(InvalidAlgebra, match="carrier must be non-empty"):
+        FiniteAlgebra("X", 0, POINTED, {"zero": (0,)})
     sig = Signature.make((("f", 1),))
     with pytest.raises(InvalidAlgebra):
         FiniteAlgebra("X", 2, sig, {"zero": (0,), "f": (0,)})
@@ -79,6 +82,14 @@ def test_apply_refuses_the_wrong_number_of_arguments(cat):
     with pytest.raises(ValueError, match="'neg' has arity 1, given 2 arguments"):
         Z4.apply("neg", 1, 1)
     assert Z4.apply("zero") == 0
+
+
+@pytest.mark.parametrize("args", [(0, 5), (-1, 0), (0, 16), (4, 0)])
+def test_apply_refuses_arguments_outside_the_carrier(cat, args):
+    # Unchecked, these would read a wrong cell (5 is cell add(1, 1), -1 the
+    # last cell) or raise IndexError.
+    with pytest.raises(ValueError, match="outside the carrier 0..3"):
+        cat["Z4"].apply("add", *args)
 
 
 @pytest.mark.parametrize("name", ["my alg", "", "a#b"])
@@ -223,6 +234,34 @@ def test_zero_hom_needs_every_target_op_to_fix_zero():
     assert zero_hom(Y, X).mapping == (0, 0)
 
 
+def test_zero_hom_refuses_another_signature(cat):
+    with pytest.raises(SignatureMismatch, match="Z2 and P2 have different signatures"):
+        zero_hom(cat["Z2"], cat["P2"])
+
+
+def test_pointwise_applies_a_constant_as_one_row():
+    # The row-major order on no arguments has one row, returned as a vector
+    # of the carrier's type on either side of 256 elements.
+    assert pointwise((2,), 3, 0)([]) == b"\x02"
+    assert pointwise((299,), 300, 0)([]) == (299,)
+
+
+def test_constants_through_the_table_kernels_past_256_elements():
+    from abelia import Congruence
+    sig = Signature.make((("c", 0),))
+    A = FiniteAlgebra("A", 300, sig, {"zero": (0,), "c": (299,)})
+    B = FiniteAlgebra("B", 2, sig, {"zero": (0,), "c": (1,)})
+    assert product(A, B).tables["c"] == (599,)
+    assert op_violation((299,), (1,), 300, 2, 0, (0,) * 299 + (1,)) is None
+    assert op_violation((299,), (1,), 300, 2, 0, (0,) * 300) == ()
+    assert hom_violation(A, B, (0,) * 300) == ("c", ())
+    assert quotient(A, Congruence.discrete(300))[0].tables["c"] == (299,)
+    assert quotient(A, Congruence.all_pairs(300))[0].tables["c"] == (0,)
+    F, gens = free_algebra(A, 0)
+    assert (F.size, gens, F.tables) == (2, [], {"zero": (0,), "c": (1,)})
+    assert parse_algebra(serialize_algebra(A)) == A
+
+
 def test_product_signature_mismatch(cat):
     with pytest.raises(SignatureMismatch):
         product(cat["Z2"], cat["P2"])
@@ -232,6 +271,7 @@ def test_op_membership_builds_no_product_table(cat):
     P = product(cat["Z2"], cat["Z3"])
     built = dict(P.tables._built)  # the zero table, read when P was checked
     assert "add" in P.tables and "neg" in P.tables and "s" not in P.tables
+    assert len(P.tables) == 3 and list(P.tables) == ["zero", "add", "neg"]
     assert P.tables._built == built and "add" not in built
 
 
@@ -498,6 +538,20 @@ def test_free_algebra_refuses_many_generators_before_any_power(cat):
     assert (err.value.what, err.value.needed) == ("free algebra exponent positions", 27)
 
 
+def test_free_algebra_refuses_a_negative_number_of_generators(cat):
+    with pytest.raises(ValueError, match="non-negative number of generators"):
+        free_algebra(cat["Z2"], -1)
+
+
+def test_pairing_hom_refuses_maps_that_do_not_fit_the_product(cat):
+    Z2, Z3 = cat["Z2"], cat["Z3"]
+    P = product(Z2, Z3)
+    with pytest.raises(ValueError, match="must share a source"):
+        pairing_hom(P, identity_hom(Z2), zero_hom(Z3, Z3))
+    with pytest.raises(ValueError, match="targets must be the product factors"):
+        pairing_hom(P, identity_hom(Z2), zero_hom(Z2, Z2))
+
+
 def test_factor_through_split_epi(cat):
     Z2 = cat["Z2"]
     P = product(Z2, Z2)
@@ -512,6 +566,10 @@ def test_factor_through_split_epi(cat):
     with pytest.raises(ValueError):
         # i1 after p1 is not the identity on the product
         factor_through_split_epi(identity_hom(P), compose(P.i1, P.p1), identity_hom(P))
+    with pytest.raises(ValueError, match="retraction/section pair"):
+        factor_through_split_epi(P.p1, P.p1, identity_hom(Z2))
+    with pytest.raises(ValueError, match="share its source with r"):
+        factor_through_split_epi(identity_hom(Z2), P.p1, P.i1)
 
 
 def test_parse_serialize_round_trip(cat):
@@ -547,6 +605,7 @@ def test_parse_comments_and_layout():
     ("algebra X\nsize 2\nzero 0\nop zero 0\n0", "duplicate operation"),
     ("algebra X\nsize 2\nzero 0\nf 1\n0 0", "expected 'op'"),
     ("algebra X\nsize two\nzero 0", "expected the carrier size"),
+    ("algebra X\nsize 2\nzero 0\nop f -1\n", "line 4: arity must be non-negative"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -569,6 +628,26 @@ def test_parse_table_errors(body, message):
     with pytest.raises(ParseError) as err:
         parse_algebra("algebra X\nsize 2\nzero 0\n" + body)
     assert str(err.value) == message
+
+
+# A table of more entries than the tokens left ends the input, as any short
+# table does, without computing its length (3 ** 30000000 alone takes seconds).
+# (2, 4) is the smallest arity past the 8 tokens left.  An arity whose
+# power would not fit in memory is run in a subprocess in test_cli.py.
+@pytest.mark.parametrize("size,arity", [(3, 30000000), (2, 64), (2, 4)])
+def test_parse_reads_a_table_longer_than_the_file_as_a_short_table(size, arity):
+    head = f"algebra X\nsize {size}\nzero 0\nop f {arity}\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(head + "0 1\n" * 4)
+    assert str(err.value) == "line 8: unexpected end of input, expected a table entry for f"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(head + "0 1\n1 x\n0 0\n")
+    assert str(err.value) == "line 6: expected a table entry for f, got 'x'"
+
+
+def test_parse_reads_a_table_that_fills_the_file():
+    A = parse_algebra("algebra X\nsize 2\nzero 0\nop f 3\n" + "0 1\n" * 4)
+    assert A.tables["f"] == (0, 1) * 4
 
 
 def test_parse_error_line_numbers():

@@ -443,6 +443,21 @@ def test_cross_check_records_a_condition_d_failure(cat, monkeypatch):
             "diagonal law holds",)
 
 
+def test_cross_check_records_disagreeing_lattice_checks(cat, monkeypatch):
+    # The lattice scans agree with the pair law unless the theory or a check
+    # is wrong: stubs that flip the shifting verdict and pass every
+    # centralic scan raise both discrepancies where the law fails.
+    monkeypatch.setattr(normalproj, "_shifting_holds", lambda P, lattice: P.size == 4)
+    monkeypatch.setattr(normalproj, "_centralic_violations", lambda P, lattice: iter(()))
+    report = cross_check_conditions([cat["Z2"], cat["P2"]])
+    assert [(p.left, p.right, p.np_holds, p.shifting_holds, p.centralic_ok)
+            for p in report.pairs] == [("P2", "P2", False, True, True),
+                                       ("Z2", "Z2", True, True, True)]
+    assert report.discrepancies == (
+        "lattice and generated-congruence checks disagree on (P2, P2)",
+        "centralic passes but the pair law fails on (P2, P2)")
+
+
 def test_cross_check_trivial(cat):
     report = cross_check_conditions([trivial(cat["P2"].signature)])
     assert report.ok

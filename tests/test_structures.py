@@ -132,6 +132,13 @@ def test_derive_abelian_groups(cat):
         assert result.structure.neg == cat[name].tables["neg"]
 
 
+def test_abelian_structure_reads_plus_and_minus(cat):
+    (s,) = find_internal_subtractions(cat["Z4"])
+    structure = derive_abelian(s).structure
+    assert [structure.plus(3, y) for y in range(4)] == [3, 0, 1, 2]
+    assert [structure.minus(x) for x in range(4)] == [0, 3, 2, 1]
+
+
 def test_derive_abelian_p2(cat):
     first, second = find_internal_subtractions(cat["P2"])
     bad = derive_abelian(first)
@@ -312,6 +319,18 @@ def test_crystal_on_groups(cat):
         assert entry.group_law_ok and entry.abelian
         assert entry.anomalies == ()
     assert report.hom_checks > 0
+
+
+def test_crystal_records_a_map_that_breaks_a_subtraction(cat, monkeypatch):
+    # Between verified members every map preserves the subtractions, so a
+    # violation is recorded only when the theory or a check is wrong.
+    from abelia import structures
+    monkeypatch.setattr(structures, "check_homomorphic",
+                        lambda g, s, s_prime: structures.LawVerdict(False, (1, 0)))
+    report = crystallographic_report([cat["Z2"]])
+    assert not report.ok and report.hom_checks == 2
+    assert report.violations == ("map Z2->Z2 [0, 0] not homomorphic at (1, 0)",
+                                 "map Z2->Z2 [0, 1] not homomorphic at (1, 0)")
 
 
 def test_crystal_p2_anomalies(cat):
