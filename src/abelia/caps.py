@@ -39,8 +39,8 @@ class Caps:
     def from_env(cls, text: str | None) -> "Caps":
         """Parse an override string like "cg=256,lattice=12,hom_src=9,hom_tgt=4".
 
-        Unset keys keep their defaults.  Unknown keys, non-integer values and
-        negative values raise ValueError.
+        Unset keys keep their defaults.  Unknown or repeated keys,
+        non-integer values and negative values raise ValueError.
         """
         if not text:
             return cls()
@@ -54,6 +54,8 @@ class Caps:
             key = key.strip()
             if not sep or key not in known:
                 raise ValueError(f"unknown cap {key!r} in {text!r}")
+            if key in overrides:
+                raise ValueError(f"cap {key!r} is set twice in {text!r}")
             try:
                 overrides[key] = int(value)
             except ValueError:

@@ -60,6 +60,8 @@ def evaluate_term(A: FiniteAlgebra, term: Term, k: int) -> tuple[int, ...]:
         i = term_variable(t.head)
         if i is None or not 1 <= i <= k:
             raise ValueError(f"unknown symbol {t.head!r} in a {k}-ary term")
+        if t.args:
+            raise ValueError(f"variable {t.head!r} given {len(t.args)} arguments")
         return variables[i - 1]
 
     return tuple(run(term))
@@ -93,80 +95,76 @@ class TermSearch:
     explored: int = 0
 
 
-def _closure(A: FiniteAlgebra, arity: int, cap: int, stop=None):
+def _closure(A: FiniteAlgebra, arity: int, cap: int, cells=None):
     """Size-leveled closure of the k-ary clone part.
 
     Returns (ops, complete, hit): the TermOps found in first-seen order, a
-    completeness flag, and the TermOp accepted by ``stop`` if any.  Level s
-    holds the terms with s symbols; the iteration ends when every level up
-    to the maximum possible composition size is exhausted.  The leaves are
-    always kept; past them, ``cap`` tables at most.  A closure at the cap
-    runs on without keeping anything and is incomplete iff a new table
-    turns up.
+    completeness flag, and the first TermOp whose table holds every cell of
+    ``cells`` if any.  Level s holds the terms with s symbols; the
+    iteration ends when every level up to the maximum possible composition
+    size is exhausted.  The leaves are always kept; past them, ``cap``
+    tables at most.  A closure at the cap runs on without keeping anything
+    and is incomplete iff a new table turns up.
     """
     n = A.size
     vector = vector_type(n)
     # Tables are kept as ``vector_type(n)`` vectors, the type ``pointwise``
-    # works on; ``by_table`` maps each one seen to its TermOp.
+    # works on; ``by_table`` maps each one seen to its TermOp, in the order
+    # they were first seen.
     by_table: dict = {}
-    order: list[TermOp] = []
     levels: dict[int, list] = {}
 
-    def admit(term: Term, size: int, vec):
-        op = TermOp(arity, tuple(vec), term)
-        by_table[vec] = op
-        order.append(op)
-        levels.setdefault(size, []).append(vec)
-        if stop is not None and stop(op):
-            return op
-        return None
-
-    leaves = [Term(f"x{i}") for i in range(1, arity + 1)]
-    leaves += [Term(opname) for opname, k in A.signature.ops if k == 0]
-    for term in leaves:
-        vec = vector(evaluate_term(A, term, arity))
-        if vec not in by_table:
-            hit = admit(term, 1, vec)
-            if hit:
-                return order, True, hit
-
-    max_op_arity = max(k for _, k in A.signature.ops)
-    ops = [(name, k, pointwise(A.tables[name], n, k))
-           for name, k in sorted(A.signature.ops) if k >= 1]
-    width = n ** arity
-    size = 1
-    while True:
-        size += 1
-        # A composition f(t_1..t_m) has size 1 + sum of part sizes, and every
-        # part already exists at a smaller level, so this bound is exhaustive.
-        largest = max((s for s in levels if levels[s]), default=0)
-        if size > 1 + max_op_arity * largest:
-            return order, True, None
-        for opname, k, apply in ops:
-            for sizes in itertools.product(range(1, size), repeat=k):
-                if 1 + sum(sizes) != size:
-                    continue
-                *pools, last = [levels.get(s, ()) for s in sizes]
-                if not last:
-                    continue
-                # One ``pointwise`` call per choice of the other parts: each
-                # repeated once per table of the last pool, and that pool
-                # joined end to end; the output is cut into the images.
-                run = concat(last, n)
-                for prefix in itertools.product(*pools):
-                    out = apply([p * len(last) for p in prefix] + [run])
-                    batch = split(out, width, n)
-                    if all(map(by_table.__contains__, batch)):
+    def candidates():
+        # Every candidate as (level, head, parts, table): the leaves, then
+        # each composition level, each part a table already kept.
+        heads = [f"x{i}" for i in range(1, arity + 1)]
+        heads += [opname for opname, k in A.signature.ops if k == 0]
+        for head in heads:
+            yield 1, head, (), vector(evaluate_term(A, Term(head), arity))
+        max_op_arity = max(k for _, k in A.signature.ops)
+        ops = [(name, k, pointwise(A.tables[name], n, k))
+               for name, k in sorted(A.signature.ops) if k >= 1]
+        width = n ** arity
+        size = 1
+        while True:
+            size += 1
+            # A composition f(t_1..t_m) has size 1 + sum of part sizes, and
+            # every part already exists at a smaller level, so this bound is
+            # exhaustive.
+            largest = max((s for s in levels if levels[s]), default=0)
+            if size > 1 + max_op_arity * largest:
+                return
+            for opname, k, apply in ops:
+                for sizes in itertools.product(range(1, size), repeat=k):
+                    if 1 + sum(sizes) != size:
                         continue
-                    for tail, vec in zip(last, batch):
-                        if vec not in by_table:
-                            if len(order) >= cap:
-                                return order, False, None
-                            parts = prefix + (tail,)
-                            term = Term(opname, tuple(by_table[p].witness for p in parts))
-                            hit = admit(term, size, vec)
-                            if hit:
-                                return order, True, hit
+                    *pools, last = [levels.get(s, ()) for s in sizes]
+                    if not last:
+                        continue
+                    # One ``pointwise`` call per choice of the other parts:
+                    # each repeated once per table of the last pool, and that
+                    # pool joined end to end; the output is cut into the
+                    # images.  A batch of tables all seen is skipped whole.
+                    run = concat(last, n)
+                    for prefix in itertools.product(*pools):
+                        out = apply([p * len(last) for p in prefix] + [run])
+                        batch = split(out, width, n)
+                        if all(map(by_table.__contains__, batch)):
+                            continue
+                        for tail, vec in zip(last, batch):
+                            yield size, opname, prefix + (tail,), vec
+
+    for size, head, parts, vec in candidates():
+        if vec in by_table:
+            continue
+        if size > 1 and len(by_table) >= cap:
+            return tuple(by_table.values()), False, None
+        term = Term(head, tuple(by_table[p].witness for p in parts))
+        op = by_table[vec] = TermOp(arity, tuple(vec), term)
+        levels.setdefault(size, []).append(vec)
+        if cells is not None and broken_cell(op.table, cells) is None:
+            return tuple(by_table.values()), True, op
+    return tuple(by_table.values()), True, None
 
 
 def generate_term_ops(A: FiniteAlgebra, arity: int,
@@ -175,13 +173,12 @@ def generate_term_ops(A: FiniteAlgebra, arity: int,
     if arity < 0:
         raise ValueError("arity must be non-negative")
     ops, complete, _ = _closure(A, arity, caps.clone_tables)
-    return TermOps(arity, tuple(ops), complete)
+    return TermOps(arity, ops, complete)
 
 
 def _binary_term_search(A: FiniteAlgebra, caps: Caps, cells) -> TermSearch:
     """Search the binary clone part for a table that holds every cell."""
-    ops, complete, hit = _closure(A, 2, caps.clone_tables,
-                                  stop=lambda op: broken_cell(op.table, cells) is None)
+    ops, complete, hit = _closure(A, 2, caps.clone_tables, cells)
     if hit is not None:
         return TermSearch("found", hit, len(ops))
     return TermSearch("none" if complete else "unknown", None, len(ops))

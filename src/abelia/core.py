@@ -419,9 +419,14 @@ class ProductAlgebra(FiniteAlgebra):
         return (self.name, self.left, self.right) == (other.name, other.left, other.right)
 
     def pair(self, a: int, b: int) -> int:
+        if not (0 <= a < self.left.size and 0 <= b < self.right.size):
+            raise ValueError(f"({a}, {b}) is outside the factors' carriers "
+                             f"0..{self.left.size - 1} x 0..{self.right.size - 1}")
         return a * self.right.size + b
 
     def split(self, e: int) -> tuple[int, int]:
+        if not 0 <= e < self.size:
+            raise ValueError(f"element {e} is outside the carrier 0..{self.size - 1}")
         return divmod(e, self.right.size)
 
     @cached_property
@@ -641,7 +646,7 @@ def _hom_tables(X: FiniteAlgebra, Y: FiniteAlgebra,
             frame[1] = v + 1
             partial[cell] = v
             trail.append(cell)
-            if not watch[cell] or settle(mark):
+            if settle(mark):
                 break
         else:
             return
@@ -745,37 +750,28 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
     # end to end, and its output is cut into the run's images.  The run
     # starts at ``prev`` unless some other argument is new; both runs are
     # joined at the start of the round, before any op grows ``elems``.  The
-    # ids found for ``prefix + (j,)``, j = 0, 1, ..., extend
-    # ``images[op][prefix]``, so an op's table is the chain of its prefixes'
-    # lists.
-    images: dict[str, dict[tuple[int, ...], list[int]]] = {
-        opname: {} for opname, arity in A.signature.ops if arity >= 1}
-    ops = [(arity, pointwise(A.tables[opname], n, arity), images[opname])
+    # ids found for ``prefix + (j,)``, j = 0, 1, ..., extend the op's
+    # ``lists[prefix]``, so its table is the chain of its prefixes' lists.
+    ops = [(opname, arity, pointwise(A.tables[opname], n, arity), {})
            for opname, arity in A.signature.ops if arity >= 1]
     prev = 0
     while True:
         known = len(elems)
         runs = {lo: concat(elems[lo:known], n) for lo in {0, prev}}
-        for arity, apply, lists in ops:
+        for _, arity, apply, lists in ops:
             for prefix in itertools.product(range(known), repeat=arity - 1):
                 lo = prev if max(prefix, default=-1) < prev else 0
                 count = known - lo
                 out = apply([elems[i] * count for i in prefix] + [runs[lo]])
-                batch = split(out, m, n)
-                ids = list(map(index.get, batch))
-                if None in ids:
-                    ids = [intern(vec) for vec in batch]
-                lists.setdefault(prefix, []).extend(ids)
+                lists.setdefault(prefix, []).extend(map(intern, split(out, m, n)))
         if len(elems) == known:
             break
         prev = known
 
     size = len(elems)
-    for opname, arity in A.signature.ops:
-        if arity >= 1:
-            rows = map(images[opname].__getitem__,
-                       itertools.product(range(size), repeat=arity - 1))
-            tables[opname] = tuple(itertools.chain.from_iterable(rows))
+    for opname, arity, _, lists in ops:
+        rows = map(lists.__getitem__, itertools.product(range(size), repeat=arity - 1))
+        tables[opname] = tuple(itertools.chain.from_iterable(rows))
     S = FiniteAlgebra(name or f"Sub({A.name}^{m})", size, A.signature, tables)
     return S, gen_ids, elems
 

@@ -468,6 +468,15 @@ def test_caps_env_skips_empty_items_and_refuses_a_non_integer():
         Caps.from_env("cg=many")
 
 
+def test_caps_env_refuses_a_repeated_key(capsys, monkeypatch):
+    with pytest.raises(ValueError, match="cap 'cg' is set twice"):
+        Caps.from_env("cg=1,cg=2")
+    monkeypatch.setenv("ABELIA_CAPS", "cg=1,cg=2")
+    code, out, err = run(capsys, "np", "@builtin:Z2", "@builtin:Z2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'cg'" in err
+
+
 @pytest.mark.parametrize("argv", [["np", "@builtin:Z2"], []])
 def test_usage_error_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -33,7 +33,8 @@ def test_evaluate_term(cat):
                            (Term("mystery"), 1, "unknown symbol 'mystery'"),
                            (Term("y"), 1, "unknown symbol 'y'"),
                            (Term("add", (x1,)), 1, "'add' has arity 2"),
-                           (Term("neg", (x1, x1)), 1, "'neg' has arity 1")]:
+                           (Term("neg", (x1, x1)), 1, "'neg' has arity 1"),
+                           (Term("x1", (Term("x2"),)), 2, "variable 'x1' given 1 arguments")]:
         with pytest.raises(ValueError, match=match):
             evaluate_term(Z3, term, k)
 

@@ -133,6 +133,16 @@ def test_product_canonical_maps(cat):
     assert paired == identity_hom(P)
 
 
+def test_product_pair_and_split_refuse_elements_outside_the_factors(cat):
+    P = product(cat["Z3"], cat["Z3"])
+    for a, b in [(5, 7), (3, 0), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside the factors' carriers 0..2 x 0..2"):
+            P.pair(a, b)
+    for e in [100, 9, -1]:
+        with pytest.raises(ValueError, match="element .* is outside the carrier 0..8"):
+            P.split(e)
+
+
 def test_product_canonical_maps_build_no_product_table():
     # p1, p2, i1 and i2 commute by the definition of the product, so reading
     # them builds none of the product's tables, not even at the inner
