@@ -142,6 +142,13 @@ def test_cli_output_is_byte_identical(argv, tmp_path):
     assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
+def test_json_exit_code_is_1_exactly_when_holds_is_false():
+    decided = [r for r in golden().values() if "--json" in r["argv"] and r["exit"] in (0, 1)]
+    assert decided
+    for r in decided:
+        assert (r["exit"] == 1) == (json.loads(r["stdout"])["holds"] is False), r["argv"]
+
+
 @pytest.mark.parametrize("argv", P4_PINS, ids=" ".join)
 def test_p4_output_is_byte_identical(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("ABELIA_CAPS", P4_CAPS)
