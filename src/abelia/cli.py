@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Algebra sources are file paths in the line-oriented format or builtin
-fixtures addressed as ``@builtin:NAME``.  Exit codes: 0 the check completed
-and holds (or an enumeration finished with no violations), 1 a definitive
-counterexample was found, 2 usage or input error, 3 a size cap stopped the
-check before it could decide.  ``--json`` emits a single line against the
-shipped verdict schema; all output is deterministic.
+fixtures addressed as ``@builtin:NAME``.  A handler returns its outcome and
+prints nothing; ``main`` prints it and alone picks the exit code: 0 the
+check completed and holds (or an enumeration finished with no violations),
+1 a definitive counterexample was found (``holds`` is False), 2 usage or
+input error, 3 a size cap (a ``CapExceeded``) stopped the check before it
+could decide.  ``--json`` emits a single line against the shipped verdict
+schema; all output is deterministic.
 """
 
 from __future__ import annotations
@@ -54,17 +56,7 @@ def _payload(check: str, inputs, holds, witness, instances: int, **extras):
     return out
 
 
-def _emit(args, payload, lines) -> None:
-    """Print the JSON payload or the text lines.  Both are callables and only
-    the one for the chosen output mode runs, so the other is never built."""
-    if args.json:
-        print(json.dumps(payload(), sort_keys=True))
-    else:
-        for line in lines():
-            print(line)
-
-
-def _np_like(args, check: str, A: FiniteAlgebra, B: FiniteAlgebra, verdict) -> int:
+def _np_like(check: str, A: FiniteAlgebra, B: FiniteAlgebra, verdict):
     if verdict.holds:
         head = f"{check}({A.name}, {B.name}): holds"
         witness = None
@@ -73,18 +65,16 @@ def _np_like(args, check: str, A: FiniteAlgebra, B: FiniteAlgebra, verdict) -> i
         head = f"{check}({A.name}, {B.name}): fails at ({a}, {b})"
         witness = {"a": a, "b": b}
     blocks = verdict.theta.blocks()
-    _emit(args,
-          lambda: _payload(check, [A.name, B.name], verdict.holds, witness, 1,
-                           theta=blocks),
-          lambda: [head, f"theta blocks: {_blocks_text(blocks)}"])
-    return 0 if verdict.holds else 1
+    return (lambda: _payload(check, [A.name, B.name], verdict.holds, witness, 1,
+                             theta=blocks),
+            lambda: [head, f"theta blocks: {_blocks_text(blocks)}"],
+            verdict.holds)
 
 
-def _pair_law(args, caps: Caps, decide) -> int:
-    """``np`` and ``shifting``: decide the law for (A, B) and print the verdict."""
-    A = _resolve(args, args.a)
-    B = _resolve(args, args.b)
-    return _np_like(args, args.command, A, B, decide(A, B, caps))
+def _pair_law(args, caps: Caps, decide):
+    """``np`` and ``shifting``: decide the law for (A, B)."""
+    A, B = _resolve(args, args.a), _resolve(args, args.b)
+    return _np_like(args.command, A, B, decide(A, B, caps))
 
 
 def _failure_json(fail) -> dict:
@@ -104,19 +94,19 @@ def _failure_text(fail) -> str:
     return "  " + " ".join(parts)
 
 
-def _failures(args, check: str, head: str, names, report) -> int:
-    """Emit a report that lists its failures (condition variants, centralic)."""
+def _failures(check: str, head: str, names, report):
+    """The outcome of a report that lists its failures (condition variants,
+    centralic)."""
 
     def payload():
         failures = [_failure_json(f) for f in report.failures]
         return _payload(check, names, report.ok, failures[0] if failures else None,
                         report.instances, failures=failures)
 
-    _emit(args, payload, lambda: [head] + [_failure_text(f) for f in report.failures])
-    return 0 if report.ok else 1
+    return payload, lambda: [head] + [_failure_text(f) for f in report.failures], report.ok
 
 
-def _cmd_conditions(args, caps: Caps) -> int:
+def _cmd_conditions(args, caps: Caps):
     which = args.which
     if args.params is not None and which not in ("d", "e"):
         raise ValueError(f"condition {which} takes no --params")
@@ -128,7 +118,7 @@ def _cmd_conditions(args, caps: Caps) -> int:
     if which == "a":
         if len(sources) > 2:
             raise ValueError("condition a takes at most two algebras")
-        return _np_like(args, "condition-a", A, B, check_np_pair(A, B, caps))
+        return _np_like("condition-a", A, B, check_np_pair(A, B, caps))
     if which == "d":
         names = [A.name, B.name]
         report = check_condition_d_instances(A, B, sources[2:] or [A], params or [A], caps)
@@ -139,46 +129,35 @@ def _cmd_conditions(args, caps: Caps) -> int:
                   else check_condition_b(A, targets, caps, tag=which))
     head = (f"condition {report.condition} on ({', '.join(names)}): "
             f"instances={report.instances} failures={len(report.failures)}")
-    return _failures(args, f"condition-{which}", head, names, report)
+    return _failures(f"condition-{which}", head, names, report)
 
 
-def _cmd_centralic(args, caps: Caps) -> int:
-    A = _resolve(args, args.a)
-    B = _resolve(args, args.b)
+def _cmd_centralic(args, caps: Caps):
+    A, B = _resolve(args, args.a), _resolve(args, args.b)
     report = centralic_check(A, B, caps)
     head = (f"centralic({A.name}, {B.name}): instances={report.instances} "
             f"failures={len(report.failures)}")
-    return _failures(args, "centralic", head, [A.name, B.name], report)
+    return _failures("centralic", head, [A.name, B.name], report)
 
 
-def _term_search(args, caps: Caps, label: str, finder) -> int:
-    """``subtraction-term`` and ``unit-term``: run the clone search."""
+def _term_search(args, caps: Caps, label: str, finder):
+    """``subtraction-term`` and ``unit-term``: run the clone search.  The
+    closure stops at the first new table past the ``explored`` it kept."""
     A = _resolve(args, args.a)
     result = finder(A, caps)
-    if result.status == "found":
-        op = result.term_op
-        lines = [f"{label} for {A.name}: {op.witness}",
-                 f"table: {list(op.table)}"]
-        holds = True
-        witness = {"term": str(op.witness), "table": list(op.table)}
-        code = 0
-    elif result.status == "none":
+    if result.status == "unknown":
+        raise CapExceeded("term operation count", result.explored + 1, caps.clone_tables)
+    op = result.term_op
+    if op is None:
         lines = [f"{label} for {A.name}: none "
                  f"(searched {result.explored} term operations)"]
-        holds = False
         witness = None
-        code = 1
     else:
-        lines = [f"{label} for {A.name}: unknown "
-                 f"(table cap reached after {result.explored})"]
-        holds = None
-        witness = None
-        code = 3
-    _emit(args,
-          lambda: _payload(args.command, [A.name], holds, witness, result.explored,
-                           status=result.status),
-          lambda: lines)
-    return code
+        lines = [f"{label} for {A.name}: {op.witness}", f"table: {list(op.table)}"]
+        witness = {"term": str(op.witness), "table": list(op.table)}
+    return (lambda: _payload(args.command, [A.name], op is not None, witness,
+                             result.explored, status=result.status),
+            lambda: lines, op is not None)
 
 
 # Tables of internal-subtractions output are written this many at a time.
@@ -233,7 +212,7 @@ def _row_chunks(rows, n: int, head: str, tail: str, between: str):
         yield buf.decode("ascii")
 
 
-def _cmd_internal_subtractions(args, caps: Caps) -> int:
+def _cmd_internal_subtractions(args, caps: Caps) -> None:
     A = _resolve(args, args.a)
     # There are 4**9 tables on a 4-element pointed set.  They are kept as
     # 4 MiB of bytes with no object per table, and the output, 13 MB there,
@@ -256,10 +235,9 @@ def _cmd_internal_subtractions(args, caps: Caps) -> int:
         write(f"internal subtractions on {A.name}: {count}\n")
         for text in _row_chunks(rows, A.size, "  s=[", "]\n", ""):
             write(text)
-    return 0
 
 
-def _cmd_abelian(args, caps: Caps) -> int:
+def _cmd_abelian(args, caps: Caps):
     A = _resolve(args, args.a)
     subs = find_internal_subtractions(A, caps)
     head = f"abelian({A.name}): "
@@ -276,14 +254,12 @@ def _cmd_abelian(args, caps: Caps) -> int:
         else:
             witness = {"axiom": result.failed_axiom, "point": list(result.witness)}
             lines = [head + f"fails axiom={result.failed_axiom} at {witness['point']}"]
-    _emit(args,
-          lambda: _payload("abelian", [A.name], holds, witness, len(subs),
-                           subtractions=len(subs), **extras),
-          lambda: lines)
-    return 0 if holds else 1
+    return (lambda: _payload("abelian", [A.name], holds, witness, len(subs),
+                             subtractions=len(subs), **extras),
+            lambda: lines, holds)
 
 
-def _cmd_crystal(args, caps: Caps) -> int:
+def _cmd_crystal(args, caps: Caps):
     algebras = [_resolve(args, s) for s in args.sources]
     report = crystallographic_report(algebras, caps)
 
@@ -313,53 +289,49 @@ def _cmd_crystal(args, caps: Caps) -> int:
         for v in report.violations:
             yield f"  {v}"
 
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return payload, lines, report.ok
 
 
-def _cmd_congruences(args, caps: Caps) -> int:
+def _cmd_congruences(args, caps: Caps):
     A = _resolve(args, args.a)
     lattice = all_congruences(A, caps)
-    _emit(args,
-          lambda: _payload("congruences", [A.name], None, None, len(lattice),
-                           congruences=[theta.blocks() for theta in lattice]),
-          lambda: [f"congruences of {A.name}: {len(lattice)}"]
-          + [f"  {_blocks_text(theta.blocks())}" for theta in lattice])
-    return 0
+    return (lambda: _payload("congruences", [A.name], None, None, len(lattice),
+                             congruences=[theta.blocks() for theta in lattice]),
+            lambda: [f"congruences of {A.name}: {len(lattice)}"]
+            + [f"  {_blocks_text(theta.blocks())}" for theta in lattice],
+            None)
 
 
-def _cmd_free(args, caps: Caps) -> int:
+def _cmd_free(args, caps: Caps):
     A = _resolve(args, args.a)
     F, gens = free_algebra(A, args.k, caps)
-    _emit(args,
-          lambda: _payload("free", [A.name], None, None, F.size, size=F.size,
-                           generators=gens, algebra=serialize_algebra(F)),
-          lambda: [f"free algebra on {args.k} generator(s) over {A.name}: size {F.size}",
-                   f"generators: {gens}"])
-    return 0
+    return (lambda: _payload("free", [A.name], None, None, F.size, size=F.size,
+                             generators=gens, algebra=serialize_algebra(F)),
+            lambda: [f"free algebra on {args.k} generator(s) over {A.name}: size {F.size}",
+                     f"generators: {gens}"],
+            None)
 
 
-def _cmd_catalog_list(args, caps: Caps) -> int:
+def _cmd_catalog_list(args, caps: Caps):
     names = list_builtins()
-    _emit(args,
-          lambda: _payload("catalog-list", [], None, None, len(names), names=names),
-          lambda: names)
-    return 0
+    return (lambda: _payload("catalog-list", [], None, None, len(names), names=names),
+            lambda: names, None)
 
 
-def _cmd_catalog_export(args, caps: Caps) -> int:
+def _cmd_catalog_export(args, caps: Caps):
     text = serialize_algebra(builtin(args.name).algebra)
-    _emit(args,
-          lambda: _payload("catalog-export", [args.name], None, None, 1, text=text),
-          text.splitlines)
-    return 0
+    return (lambda: _payload("catalog-export", [args.name], None, None, 1, text=text),
+            text.splitlines, None)
 
 
 # Every subcommand, once: (name, help, arguments as (flag, argparse
 # keywords), handler), in the order of ``abelia --help``.  A handler takes
-# (args, caps) and returns the exit code.  The handlers look the library
-# functions up when they run, not at import, so they see a rebinding of
-# those names, such as a tracer's.
+# (args, caps) and returns (payload, lines, holds); payload and lines are
+# zero-argument callables, and ``main`` calls the one for the output mode
+# and picks the exit code from holds.  ``internal-subtractions`` writes its
+# own output and returns None.  The handlers look the library functions up
+# when they run, not at import, so they see a rebinding of those names,
+# such as a tracer's.
 _A, _B = ("a", {}), ("b", {})
 COMMANDS = (
     ("np", "decide the pair-level projection law for (A, B)", (_A, _B),
@@ -433,7 +405,16 @@ def main(argv=None) -> int:
         return 2
     args.inputs = []
     try:
-        return args.handler(args, caps)
+        outcome = args.handler(args, caps)
+        if outcome is None:
+            return 0
+        payload, lines, holds = outcome
+        if args.json:
+            print(json.dumps(payload(), sort_keys=True))
+        else:
+            for line in lines():
+                print(line)
+        return 1 if holds is False else 0
     except CapExceeded as exc:
         if args.json:
             cap = {"what": exc.what, "needed": exc.needed, "limit": exc.limit}

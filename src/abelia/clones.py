@@ -102,12 +102,17 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, cells=None):
     completeness flag, and the first TermOp whose table holds every cell of
     ``cells`` if any.  Level s holds the terms with s symbols; the
     iteration ends when every level up to the maximum possible composition
-    size is exhausted.  The leaves are always kept; past them, ``cap``
-    tables at most.  A closure at the cap runs on without keeping anything
-    and is incomplete iff a new table turns up.
+    size is exhausted, or once it holds all n**(n**k) k-ary operations.
+    The leaves are always kept; past them, ``cap`` tables at most.  A
+    closure at the cap runs on without keeping anything and is incomplete
+    iff a new table turns up.
     """
     n = A.size
     vector = vector_type(n)
+    width = n ** arity
+    # Past width 64 there are at least 2**65 operations, more than any
+    # closure can hold, so that count is never computed.
+    full = n ** width if width <= 64 else None
     # Tables are kept as ``vector_type(n)`` vectors, the type ``pointwise``
     # works on; ``by_table`` maps each one seen to its TermOp, in the order
     # they were first seen.
@@ -124,7 +129,6 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, cells=None):
         max_op_arity = max(k for _, k in A.signature.ops)
         ops = [(name, k, pointwise(A.tables[name], n, k))
                for name, k in sorted(A.signature.ops) if k >= 1]
-        width = n ** arity
         size = 1
         while True:
             size += 1
@@ -164,6 +168,8 @@ def _closure(A: FiniteAlgebra, arity: int, cap: int, cells=None):
         levels.setdefault(size, []).append(vec)
         if cells is not None and broken_cell(op.table, cells) is None:
             return tuple(by_table.values()), True, op
+        if len(by_table) == full:
+            break
     return tuple(by_table.values()), True, None
 
 

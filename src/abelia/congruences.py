@@ -68,6 +68,8 @@ class Congruence:
     def from_blocks(size: int, blocks) -> "Congruence":
         rep = [-1] * size
         for block in blocks:
+            if not block:
+                raise ValueError(f"blocks do not partition 0..{size - 1}")
             least = min(block)
             for x in block:
                 if not (0 <= x < size) or rep[x] != -1:

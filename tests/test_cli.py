@@ -188,6 +188,20 @@ def test_term_search_unknown_under_cap(capsys, monkeypatch):
     assert payload["holds"] is None
 
 
+@pytest.mark.parametrize("command", ["subtraction-term", "unit-term"])
+def test_term_search_refusal_names_its_cap(capsys, monkeypatch, command):
+    monkeypatch.setenv("ABELIA_CAPS", "clone_tables=3")
+    code, out, err = run(capsys, command, "@builtin:Z3", "--json")
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert code == 3
+    assert payload["cap"] == {"what": "term operation count", "needed": 4, "limit": 3}
+    assert payload["instances"] == 0
+    assert err.startswith("unknown: ")
+    assert run(capsys, command, "@builtin:Z3") == (
+        3, "", "unknown: term operation count: needs 4, cap is 3\n")
+
+
 def test_internal_subtractions(capsys):
     code, payload = run_json(capsys, "internal-subtractions", "@builtin:P2")
     assert code == 0

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +227,27 @@ def test_clone_closure_and_term_searches_are_pinned(cat):
             digest.update(repr((A.name, result.status, result.explored, witness)).encode())
     got["searches"] = digest.hexdigest()
     assert got == CLOSURE_PIN
+
+
+FULL_CLONE = """
+import hashlib
+from abelia import Caps, FiniteAlgebra, Signature, generate_term_ops
+from abelia.core import ZERO_OP
+A = FiniteAlgebra("M", 3, Signature(((ZERO_OP, 0), ("m", 2))),
+                  {ZERO_OP: (0,), "m": (1, 2, 0, 2, 1, 0, 0, 0, 1)})
+ops = generate_term_ops(A, 2, Caps(clone_tables=100000))
+found = [(str(op.witness), op.table) for op in ops.term_ops]
+print(len(found), ops.complete, hashlib.sha256(repr(found).encode()).hexdigest())
+"""
+
+
+def test_a_closure_holding_every_operation_stops():
+    # This magma generates all 3**9 binary operations within 0.2 s; a
+    # closure that ran on through every level to prove no other table turns
+    # up took over a minute, hence the child process and its timeout.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", FULL_CLONE],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=30)
+    assert done.stdout.split() == [
+        "19683", "True", "cbf274fa5eff2d9568fb9527270a4952560fc4903ebc777f83a85ced348007b3"]

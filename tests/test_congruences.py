@@ -38,6 +38,11 @@ def test_from_blocks_round_trip():
         Congruence.from_blocks(3, [[0, 1], [1, 2]])
 
 
+def test_from_blocks_refuses_an_empty_block():
+    with pytest.raises(ValueError, match="do not partition 0..1"):
+        Congruence.from_blocks(2, [[0, 1], []])
+
+
 def test_discrete_and_all_pairs():
     assert Congruence.discrete(3).num_blocks == 3
     assert Congruence.all_pairs(3).num_blocks == 1
