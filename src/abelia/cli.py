@@ -5,9 +5,10 @@ fixtures addressed as ``@builtin:NAME``.  A handler returns its outcome and
 prints nothing; ``main`` prints it and alone picks the exit code: 0 the
 check completed and holds (or an enumeration finished with no violations),
 1 a definitive counterexample was found (``holds`` is False), 2 usage or
-input error, 3 a size cap (a ``CapExceeded``) stopped the check before it
-could decide.  ``--json`` emits a single line against the shipped verdict
-schema; all output is deterministic.
+input error, a bad ``ABELIA_CAPS`` or memory exhaustion (never 1), 3 a size
+cap (a ``CapExceeded``), compared before the work it bounds, stopped the check
+before it could decide; a cap of 0 refuses the first unit.  ``--json`` emits
+one line against the shipped verdict schema; output is deterministic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ SCHEMA_VERSION = "1"
 
 def _resolve(args, source: str) -> FiniteAlgebra:
     """Load one algebra and note its name among the command's inputs."""
+    if not source:
+        raise ValueError("an algebra source is empty")
     if source.startswith("@builtin:"):
         A = builtin(source[len("@builtin:"):]).algebra
     else:
@@ -111,8 +114,8 @@ def _cmd_conditions(args, caps: Caps):
     if args.params is not None and which not in ("d", "e"):
         raise ValueError(f"condition {which} takes no --params")
     sources = [_resolve(args, s) for s in args.sources]
-    params = ([_resolve(args, s) for s in args.params.split(",")]
-              if args.params else None)
+    params = (None if args.params is None
+              else [_resolve(args, s) for s in args.params.split(",")])
     A = sources[0]
     B = sources[1] if len(sources) > 1 else A
     if which == "a":
@@ -398,14 +401,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        caps = Caps.from_env(os.environ.get("ABELIA_CAPS"))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     args.inputs = []
     try:
-        outcome = args.handler(args, caps)
+        outcome = args.handler(args, Caps.from_env(os.environ.get("ABELIA_CAPS")))
         if outcome is None:
             return 0
         payload, lines, holds = outcome
@@ -422,8 +420,9 @@ def main(argv=None) -> int:
                                       status="unknown", cap=cap), sort_keys=True))
         print(f"unknown: {exc}", file=sys.stderr)
         return 3
-    except (AbeliaError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AbeliaError, MemoryError, OSError, ValueError) as exc:
+        text = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ member of the block of x, so rep[x] <= x and rep[rep[x]] == rep[x].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .caps import Caps, DEFAULT_CAPS
@@ -271,9 +272,7 @@ def join(A: FiniteAlgebra, t1: Congruence, t2: Congruence,
     """The least congruence containing both."""
     if not t1.size == t2.size == A.size:
         raise ValueError("congruences live on different carriers")
-    gens = [(x, t1.rep[x]) for x in range(A.size)] + \
-           [(x, t2.rep[x]) for x in range(A.size)]
-    return cg(A, gens, caps)
+    return cg(A, itertools.chain(enumerate(t1.rep), enumerate(t2.rep)), caps)
 
 
 def meet(t1: Congruence, t2: Congruence) -> Congruence:
@@ -351,8 +350,10 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     bottom = vec(range(n))
     levels = [[] for _ in range(n)] + [[bottom]]  # by block count
     # Distinct principals have distinct first pairs, so each j passes at the
-    # bottom.
+    # bottom.  The bottom is the first congruence counted.
     found, stack = 1, [(bottom, n, list(range(k)))]
+    if found > caps.lattice_count:
+        raise CapExceeded("congruence lattice size", found, caps.lattice_count)
     while stack:
         theta, blocks, passed = stack.pop()
         t = theta + pad

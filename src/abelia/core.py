@@ -694,9 +694,9 @@ def free_algebra(A: FiniteAlgebra, k: int,
         raise ValueError("need a non-negative number of generators")
     if k > caps.free_positions:
         raise CapExceeded("free algebra generators", k, caps.free_positions)
-    n, positions = A.size, 1
-    for _ in range(k):
-        positions *= n
+    n = A.size
+    # |A|**0 = 1 position counts too, so a cap of 0 refuses F(0).
+    for positions in itertools.accumulate(itertools.repeat(n, k), operator.mul, initial=1):
         if positions > caps.free_positions:
             raise CapExceeded("free algebra exponent positions", positions, caps.free_positions)
     F, gen_ids, _ = subpower(A, coordinates((n,) * k), caps, name=f"Free({A.name},{k})")
@@ -723,8 +723,7 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
     m = len(gens[0]) if gens else 1
     if m < 1 or any(len(g) != m or not all(0 <= x < n for x in g) for g in gens):
         raise ValueError(f"generators must be non-empty vectors of one length over range({n})")
-    elems: list = [vector((0,) * m)]
-    index: dict = {elems[0]: 0}
+    elems, index = [], {}
 
     def intern(vec) -> int:
         got = index.get(vec)
@@ -736,6 +735,7 @@ def subpower(A: FiniteAlgebra, generators: Iterable[Iterable[int]],
         elems.append(vec)
         return index[vec]
 
+    intern(vector((0,) * m))
     gen_ids = [intern(g) for g in gens]
     # Zero interns to element 0, so only the other constants can be new.
     tables: dict[str, tuple[int, ...]] = {

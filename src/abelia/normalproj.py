@@ -87,20 +87,19 @@ def check_np_pair(A: FiniteAlgebra, B: FiniteAlgebra,
     containing theta, and the quotient by theta realizes the extreme case.
     """
     P = product(A, B)
-    theta = cg(P, [(P.pair(a, 0), 0) for a in range(A.size)], caps)
+    theta = cg(P, ((P.pair(a, 0), 0) for a in range(A.size)), caps)
     witness = _np_witness(P, theta)
     return NpVerdict(witness is None, theta, witness)
 
 
-def _maps(X: FiniteAlgebra, Y: FiniteAlgebra, caps: Caps,
-          pins: dict[int, int] | None = None) -> list[Homomorphism]:
-    """Every homomorphism X -> Y extending ``pins``, listed once.  X is
-    refused above ``caps.hom_src`` and then Y above ``caps.hom_tgt``."""
+def _maps(X: FiniteAlgebra, Y: FiniteAlgebra, caps: Caps, pins=dict) -> list[Homomorphism]:
+    """Every homomorphism X -> Y extending the dict ``pins()``, listed once.  X
+    is refused above ``caps.hom_src``, then Y above ``caps.hom_tgt``, before ``pins()``."""
     if X.size > caps.hom_src:
         raise CapExceeded("homomorphism enumeration source", X.size, caps.hom_src)
     if Y.size > caps.hom_tgt:
         raise CapExceeded("homomorphism enumeration target", Y.size, caps.hom_tgt)
-    return list(enumerate_homomorphisms(X, Y, pins))
+    return list(enumerate_homomorphisms(X, Y, pins()))
 
 
 def _unless_refused(check):
@@ -113,7 +112,7 @@ def _unless_refused(check):
 
 def _element_report(tag: str, P: ProductAlgebra, targets: list[FiniteAlgebra],
                     parameter_objects: list[FiniteAlgebra], elements, caps: Caps,
-                    pins: dict[int, int] | None = None) -> ConditionReport:
+                    pins=dict) -> ConditionReport:
     """Conditions b to e on P = A x B: over targets C, parameter objects X
     and maps f: P -> C, each element (roles, a, b) of ``elements(X)`` whose
     a f kills on the slice is an instance, and each x where f(a, b) moves
@@ -150,9 +149,9 @@ def check_condition_b(X: FiniteAlgebra, targets: list[FiniteAlgebra],
     the identical elementwise form under its own label.
     """
     P = product(X, X)
-    pins = {P.pair(x, 0): 0 for x in range(X.size)}
     identity = [((), range(X.size), range(X.size))]
-    return _element_report(tag, P, targets, [X], lambda _: identity, caps, pins)
+    return _element_report(tag, P, targets, [X], lambda _: identity, caps,
+                           lambda: {P.pair(x, 0): 0 for x in range(X.size)})
 
 
 def check_condition_d_instances(A: FiniteAlgebra, B: FiniteAlgebra,

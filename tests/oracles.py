@@ -245,8 +245,7 @@ def free_algebra_by_rounds(A, k, caps=DEFAULT_CAPS):
     Refuses with free_algebra's CapExceeded past ``free_carrier``."""
     n, positions = A.size, A.size ** k
     vector = vector_type(n)
-    elems = [vector((0,) * positions)]
-    index = {elems[0]: 0}
+    elems, index = [], {}
 
     def intern(vec):
         got = index.get(vec)
@@ -258,6 +257,7 @@ def free_algebra_by_rounds(A, k, caps=DEFAULT_CAPS):
         elems.append(vec)
         return index[vec]
 
+    intern(vector((0,) * positions))
     gen_ids = [intern(col) for col in coordinates((n,) * k)]
     for opname, arity in A.signature.ops:
         if arity == 0 and opname != ZERO_OP:

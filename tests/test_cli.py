@@ -154,6 +154,16 @@ def test_params_refused_outside_d_and_e(capsys, which):
     assert err == f"error: condition {which} takes no --params\n"
 
 
+@pytest.mark.parametrize("which,params", [
+    ("d", ""), ("d", "@builtin:Z2,"), ("e", ",@builtin:Z2"), ("e", "@builtin:Z2,,@builtin:Z3")])
+def test_an_empty_params_name_is_an_input_error(capsys, which, params):
+    # An empty --params used to run as if it were absent, and an empty name
+    # in a list to fail as a missing file named ''.
+    code, out, err = run(capsys, "conditions", "@builtin:Z2", "--which", which,
+                         "--params", params)
+    assert (code, out, err) == (2, "", "error: an algebra source is empty\n")
+
+
 def test_centralic(capsys):
     code, payload = run_json(capsys, "centralic", "@builtin:P2", "@builtin:P2")
     assert code == 1
@@ -367,25 +377,75 @@ def test_crystal_lists_its_violations(capsys, monkeypatch):
         "  map Z2->Z2 [0, 1] not homomorphic at (0, 1)"]
 
 
-def test_a_table_longer_than_the_file_exits_2_at_once(tmp_path):
-    # Z2 with add last and its arity changed.  The table length,
-    # 2 ** 99999999999, does not fit in memory, so it must never be computed:
-    # the child runs under 1 GB of address space and a 10 s timeout, limits
-    # this process does not share.
-    path = tmp_path / "z2.alg"
-    path.write_text("algebra Z2\nsize 2\nzero 0\nop neg 1\n0 1\n"
-                    "op add 99999999999\n0 1\n1 0\n", encoding="utf-8")
+def run_limited(*argv):
+    """``abelia *argv`` in a child under 1 GB of address space and a 10 s
+    timeout, limits this process does not share."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-m", "abelia", "np", str(path), str(path)],
+    return subprocess.run([sys.executable, "-m", "abelia", *argv],
                           env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit,
                           capture_output=True, text=True, timeout=10)
+
+
+def test_a_table_longer_than_the_file_exits_2_at_once(tmp_path):
+    # Z2 with add last and its arity changed.  The table length,
+    # 2 ** 99999999999, does not fit in memory, so it must never be computed.
+    path = tmp_path / "z2.alg"
+    path.write_text("algebra Z2\nsize 2\nzero 0\nop neg 1\n0 1\n"
+                    "op add 99999999999\n0 1\n1 0\n", encoding="utf-8")
+    done = run_limited("np", str(path), str(path))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("error: line 8: unexpected end of input, "
                            "expected a table entry for add\n")
+
+
+HUGE_CAP = {"np": "congruence generation carrier",
+            "a": "congruence generation carrier",
+            "b": "homomorphism enumeration source",
+            "c": "homomorphism enumeration source"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["np", "H", "H"], *(["conditions", "H", "--which", w] for w in "abcde"),
+    ["shifting", "H", "H"], ["centralic", "H", "H"], ["internal-subtractions", "H"],
+    ["abelian", "H"], ["crystal", "H"], ["congruences", "H"], ["free", "H", "0"],
+    ["free", "H", "1"], ["subtraction-term", "K"], ["unit-term", "K"]],
+    ids=lambda argv: "-".join(argv))
+def test_a_huge_carrier_exits_0_2_or_3_under_a_memory_limit(tmp_path, argv):
+    # H is a pointed set of 30,000,000 elements.  Every cap that refuses it
+    # is compared before any list with an entry per element is built; the
+    # term searches, which no cap bounds by table width, run out of memory
+    # on K, a pointed set of 30,000 elements, and that exits 2, never 1.
+    paths = {"H": tmp_path / "h.alg", "K": tmp_path / "k.alg"}
+    paths["H"].write_text("algebra P30M\nsize 30000000\nzero 0\n", encoding="utf-8")
+    paths["K"].write_text("algebra P30K\nsize 30000\nzero 0\n", encoding="utf-8")
+    command = argv[0] if argv[0] != "conditions" else argv[-1]
+    done = run_limited(*(str(paths[x]) if x in paths else x for x in argv), "--json")
+    assert done.returncode in (0, 2, 3) and "Traceback" not in done.stderr, done.stderr
+    if command in HUGE_CAP:
+        assert done.returncode == 3
+        assert json.loads(done.stdout)["cap"]["what"] == HUGE_CAP[command]
+    elif command == "crystal":
+        assert done.returncode == 0
+        (entry,) = json.loads(done.stdout)["entries"]
+        assert entry == {"name": "P30M", "np_preconditions": {"self": None, "square": None},
+                         "subtractions": None, "group_law": None, "abelian": None,
+                         "anomalies": []}
+    elif argv[1] == "K":
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_memory_exhaustion_exits_2_through_the_error_path(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_np_pair", exhausted)
+    for json_flag in ([], ["--json"]):
+        assert run(capsys, "np", "@builtin:Z2", "@builtin:Z2", *json_flag) \
+            == (2, "", "error: out of memory\n")
 
 
 def test_congruences(capsys):
@@ -489,6 +549,13 @@ def test_caps_env_refuses_a_repeated_key(capsys, monkeypatch):
     code, out, err = run(capsys, "np", "@builtin:Z2", "@builtin:Z2")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "'cg'" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_bad_caps_env_goes_through_the_error_path(capsys, monkeypatch, json_flag):
+    monkeypatch.setenv("ABELIA_CAPS", "bogus=1")
+    code, out, err = run(capsys, "np", "@builtin:Z2", "@builtin:Z2", *json_flag)
+    assert (code, out, err) == (2, "", "error: unknown cap 'bogus' in 'bogus=1'\n")
 
 
 @pytest.mark.parametrize("argv", [["np", "@builtin:Z2"], []])

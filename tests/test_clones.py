@@ -196,10 +196,10 @@ def seeded_magmas(count: int, seed: int):
 
 # sha256 of the binary clone part by table cap, then of both term searches,
 # over the builtins and 40 seeded magmas.  Half of the magmas generate all
-# 3**9 binary operations: their closure finds every table within 0.2 s but
-# takes about a minute more to prove no other turns up, so the largest cap
-# pinned is 3000, under which every other clone here is complete (at the
-# default cap those give the same output).
+# 3**9 binary operations; their closure stops once it holds all of them, in
+# well under a second.  The largest cap pinned is 3000, under which every
+# other clone here is complete (at the default cap those give the same
+# output).
 CLOSURE_PIN = {
     0: "d03f5ff29ce21b838857e8542ad1361c79c3e81c26d8bd53da49b673e59a8478",
     3: "d03f5ff29ce21b838857e8542ad1361c79c3e81c26d8bd53da49b673e59a8478",

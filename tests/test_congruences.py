@@ -324,6 +324,16 @@ def test_lattice_count_cap_bounds_the_joins(monkeypatch):
     assert len(joins) <= 2000
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_lattice_count_of_0_refuses_the_discrete_congruence(n):
+    P = FiniteAlgebra(f"P{n}", n, POINTED, {"zero": (0,)})
+    with pytest.raises(CapExceeded) as err:
+        all_congruences(P, Caps(lattice_count=0))
+    assert (err.value.what, err.value.needed, err.value.limit) \
+        == ("congruence lattice size", 1, 0)
+    assert len(all_congruences(P, Caps(lattice_count=n))) == n
+
+
 @pytest.mark.parametrize("n", [257, 258])
 def test_lattice_past_the_byte_table(n):
     # The unary cycle x -> x + 1 mod n: the congruences are x = y mod d for

@@ -548,6 +548,24 @@ def test_free_algebra_refuses_many_generators_before_any_power(cat):
     assert (err.value.what, err.value.needed) == ("free algebra exponent positions", 27)
 
 
+@pytest.mark.parametrize("k,caps,what", [
+    (0, Caps(free_carrier=0), "free algebra carrier"),
+    (1, Caps(free_carrier=0), "free algebra carrier"),
+    (0, Caps(free_positions=0), "free algebra exponent positions")])
+def test_a_free_cap_of_0_refuses_the_first_unit(cat, k, caps, what):
+    # The zero vector is the first element and |A|**0 = 1 the first position.
+    with pytest.raises(CapExceeded) as err:
+        free_algebra(cat["Z2"], k, caps)
+    assert (err.value.what, err.value.needed, err.value.limit) == (what, 1, 0)
+
+
+def test_a_free_cap_of_1_still_names_the_same_need(cat):
+    with pytest.raises(CapExceeded) as err:
+        free_algebra(cat["Z2"], 1, Caps(free_carrier=1))
+    assert (err.value.what, err.value.needed, err.value.limit) == ("free algebra carrier", 2, 1)
+    assert free_algebra(cat["Z2"], 0, Caps(free_positions=1, free_carrier=1))[0].size == 1
+
+
 def test_free_algebra_refuses_a_negative_number_of_generators(cat):
     with pytest.raises(ValueError, match="non-negative number of generators"):
         free_algebra(cat["Z2"], -1)

@@ -896,11 +896,12 @@ def test_free_algebra_matches_the_round_loop():
         assert vectors == elems and gen_ids == sub_ids == gens, (A.signature, k)
         assert dict(F.tables) == dict(S.tables) == tables, (A.signature, k)
         compared += 1
-        # free_carrier cuts the first, a middle and the last growing round.
+        # free_carrier refuses the zero vector at 0 and cuts the first, a
+        # middle and the last growing round.
         rounds = len(starts) - 1
         middle = (rounds - 1) // 2
-        for limit in {starts[0], (starts[middle] + starts[middle + 1]) // 2, starts[-1] - 1}:
-            if rounds and limit >= starts[0]:
+        for limit in {0, starts[0], (starts[middle] + starts[middle + 1]) // 2, starts[-1] - 1}:
+            if limit == 0 or rounds and limit >= starts[0]:
                 less = Caps(free_positions=caps.free_positions, free_carrier=limit)
                 assert refusal(free_algebra, A, k, less) \
                     == refusal(free_algebra_by_rounds, A, k, less), (A.signature, k, limit)
