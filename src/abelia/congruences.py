@@ -84,44 +84,114 @@ class Congruence:
 def _op_rows(A: FiniteAlgebra) -> list:
     """Row functions whose maps generate every basic translation of A.
 
-    A row function maps x to a list of outputs, one per map, in a fixed
+    A row function maps x to a sequence of outputs, one per map, in a fixed
     order, so two rows of one function line up entry by entry; entry i of
     row(x) is the i-th map applied to x.  An equivalence closed under maps
     is closed under their composites, so it is a congruence once it is
     closed under these maps (Mal'tsev's lemma, Burris & Sankappanavar,
     §II.5): ``_close`` and ``_principals`` need nothing more.
 
-    A plain algebra gives its full rows (``_plain_rows``), all n rows of an
-    op and position cut from one ``pointwise`` call.  A product gives, at
-    each op f and argument position p where both factors are unital (see
-    ``_unital``), its factors' generator rows lifted one side at a time: a
-    basic translation t x u of the product at (f, p) is (t x id) o (id x u),
-    and both of those are basic translations at (f, p), since on each factor
-    the identity is one.  So a link of Z12 x Z12^2 scans 2 * (12 + 144) + 1
-    entries instead of 2 * 1,728 + 1, or 2 * (12 + 12 + 12) + 1 when Z12^2
-    is itself a product.  Where a factor is not unital at (f, p), the
-    product falls back to the outer sum of its factors' full rows.  No
-    homomorphism search reads these rows yet.  One from a product would
+    A plain algebra gives one row: at each op and argument position, the
+    maps that ``_generators`` keeps of that position's basic translations,
+    all of which ``_plain_rows`` lists.  A group keeps at most log2(n) maps
+    per position: one at an add position of Z12, two at one of a plain
+    Z12^2, where the full rows hold 12 and 144.  A product gives one row
+    too, its factors' generators at the positions (f, p) where both
+    factors are unital (see ``_unital``), lifted one side at a time: a
+    basic translation t x u of the product at (f, p) is (t x id) o
+    (id x u), and both of those are basic translations at (f, p), since on
+    each factor the identity is one.  Where a factor is not unital at
+    (f, p), the product adds the outer sum of its factors' full rows.  So a
+    link of Z12 x Z12^2, both factors plain and labelled as built, scans
+    2 * (1 + 2) + 1 entries, where every basic translation would take
+    2 * 1,728 + 1.  No homomorphism search reads these rows yet.  One would
     have to check every argument tuple, not only generators, so it would
-    read the full rows, the first entries of ``_product_rows``, never these.
+    read the full rows, ``_plain_rows`` or the first entries of
+    ``_product_rows``, never these.
     """
     if isinstance(A, ProductAlgebra):
-        return [row for _, gens, _ in _product_rows(A) for row in gens]
-    return _plain_rows(A)
+        parts = _product_rows(A)
+        rows = [full for full, _, unital in parts if not unital]
+        lifts = [gens for _, gens, unital in parts if unital]
+        if lifts:
+            left, right = zip(*lifts)
+            rows.append(_lift(_joined(left, A.left.size), _joined(right, A.right.size),
+                              A.right.size))
+        return rows
+    maps = [g for table, m in _position_tables(A) for g in _generators(table, A.size, m)]
+    return [_map_row(maps, A.size)] if maps else []
 
 
-def _plain_rows(A: FiniteAlgebra) -> list:
-    # One row per op and argument position p: row(x) lists the op's outputs
-    # with x at p, over the other arguments' settings in row-major order.
-    # That is the op on ``coordinates`` with the first column moved to p.
+def _position_tables(A: FiniteAlgebra) -> list[tuple]:
+    # One (table, m) per op and argument position p: entry x * m + i of the
+    # table is the op with x at p and the i-th of the m settings of the
+    # other arguments in row-major order.  That is the op on ``coordinates``
+    # with the first column moved to p.
     n = A.size
     out = []
     for opname, arity in A.signature.ops:
         cols = coordinates((n,) * arity)
         for p in range(arity):
             table = pointwise(A.tables[opname], n, arity)(cols[1:p + 1] + cols[:1] + cols[p + 1:])
-            out.append([list(row) for row in split(table, n ** (arity - 1), n)].__getitem__)
+            out.append((table, n ** (arity - 1)))
     return out
+
+
+def _plain_rows(A: FiniteAlgebra) -> list:
+    """The full row of each op and argument position: every basic
+    translation, one entry each (see ``_full_row``)."""
+    return [_full_row(table, A.size, m) for table, m in _position_tables(A)]
+
+
+def _full_row(table, n: int, m: int):
+    # row(x) lists the op's outputs with x at the position, over the other
+    # arguments' settings in row-major order: the table cut in n rows.
+    return [list(row) for row in split(table, m, n)].__getitem__
+
+
+def _map_row(maps, n: int):
+    # row(x) lists each map's image of x.
+    return (list(zip(*maps)) or [()] * n).__getitem__
+
+
+def _generators(table, n: int, m: int) -> list:
+    """Maps that generate, under composition, every map x -> table[x * m + i]
+    of one op and position but the identity.
+
+    Map i is the stride slice table[i::m].  Duplicates and the identity are
+    dropped: the identity links nothing.  A constant map links nothing in
+    A either, but lifted to a product it does, (a, b) -> (c, b), so it is
+    kept unless the kept maps compose to it.  A map is kept only if it is
+    not yet in the closure, the set of composites of the maps kept before
+    it; on a group that closure is a subgroup, and each kept map at least
+    doubles it (Lagrange), so at most log2(n) maps are kept.  Once the
+    closure holds more maps than the position has distinct maps, it is
+    not extended: every later map outside it is kept.  That costs scans,
+    never correctness, and bounds the closure's work where composites
+    abound, as for a random magma.
+    """
+    vec, pad = (bytes, bytes(256 - n)) if vector_type(n) is bytes else (_Tuple, ())
+    maps = dict.fromkeys(vec(table[i::m]) for i in range(m))
+    limit = len(maps)
+    maps.pop(vec(range(n)), None)
+    kept, tables, closure = [], [], set()
+    for f in maps:
+        if f in closure:
+            continue
+        kept.append(f)
+        if len(closure) > limit:
+            continue
+        # Each new composite is u, then f, then any word in the kept maps,
+        # for u empty or in the closure; w.translate(t) applies w and then
+        # the map whose padded table is t.
+        tables.append(f + pad)
+        stack = [f] + [u.translate(tables[-1]) for u in closure]
+        while stack and len(closure) <= limit:
+            w = stack.pop()
+            if w not in closure:
+                closure.add(w)
+                stack += [w.translate(t) for t in tables]
+    return kept
 
 
 def _product_rows(P: ProductAlgebra) -> list[tuple]:
@@ -129,24 +199,26 @@ def _product_rows(P: ProductAlgebra) -> list[tuple]:
     of P = left x right, in the order of ``_plain_rows``.  The full row of
     (a, b), the outer sum of the factors' full rows, is never kept, since
     keeping every row would rebuild P's tables.  A product is unital at a
-    position iff both of its factors are."""
+    position iff both of its factors are; only there are its generator
+    rows read, the pair of its factors' generator rows at the position,
+    which ``_lift`` turns into a row of P."""
     nb = P.right.size
 
     def factor(X: FiniteAlgebra) -> list[tuple]:
         if isinstance(X, ProductAlgebra):
-            return _product_rows(X)
-        return [(row, [row], _unital(row, X.size)) for row in _plain_rows(X)]
+            return [(full, _lift(*gens, X.right.size), unital)
+                    for full, gens, unital in _product_rows(X)]
+        out = []
+        for table, m in _position_tables(X):
+            full = _full_row(table, X.size, m)
+            unital = _unital(full, X.size)
+            maps = _generators(table, X.size, m) if unital else []
+            out.append((full, _map_row(maps, X.size), unital))
+        return out
 
-    out = []
-    for (full_a, gens_a, unital_a), (full_b, gens_b, unital_b) in \
-            zip(factor(P.left), factor(P.right)):
-        full, unital = _outer(full_a, full_b, nb), unital_a and unital_b
-        if unital:
-            gens = [_lift_left(g, nb) for g in gens_a] + [_lift_right(g, nb) for g in gens_b]
-        else:
-            gens = [full]
-        out.append((full, gens, unital))
-    return out
+    return [(_outer(full_a, full_b, nb), (gens_a, gens_b), unital_a and unital_b)
+            for (full_a, gens_a, unital_a), (full_b, gens_b, unital_b)
+            in zip(factor(P.left), factor(P.right))]
 
 
 def _unital(row, n: int) -> bool:
@@ -171,21 +243,20 @@ def _outer(row_a, row_b, nb: int):
     return row
 
 
-def _lift_left(row_a, nb: int):
-    # t x id: (a, b) -> (t(a), b) for each map t of row_a.
-    def row(e: int) -> list[int]:
-        a, b = divmod(e, nb)
-        return [u * nb + b for u in row_a(a)]
-    return row
-
-
-def _lift_right(row_b, nb: int):
+def _lift(row_a, row_b, nb: int):
+    # t x id: (a, b) -> (t(a), b) for each map t of row_a, then
     # id x u: (a, b) -> (a, u(b)) for each map u of row_b.
     def row(e: int) -> list[int]:
-        b = e % nb
-        base = e - b
-        return [base + v for v in row_b(b)]
+        a, b = divmod(e, nb)
+        return [u * nb + b for u in row_a(a)] + [e - b + v for v in row_b(b)]
     return row
+
+
+def _joined(rows, n: int):
+    # One row listing the entries of every row in turn, kept for each of
+    # 0..n-1.
+    return [tuple(itertools.chain.from_iterable(row(x) for row in rows))
+            for x in range(n)].__getitem__
 
 
 def _close(rows, n: int, pairs) -> tuple[int, ...]:
@@ -204,9 +275,10 @@ def _close(rows, n: int, pairs) -> tuple[int, ...]:
     joined by a chain of single-coordinate substitutions across links.
     The proof uses only that every link is closed under each row's maps, so
     the rows need only generate the basic translations under composition:
-    a product's rows from ``_op_rows`` lift its factors' generators one
-    side at a time, t x u = (t x id) o (id x u), and are full outer-sum rows
-    only at positions where a factor is not unital.
+    ``_op_rows`` keeps a generating subset of each position's maps on a
+    plain algebra (``_generators``), lifts a product's factors' generators
+    one side at a time, t x u = (t x id) o (id x u), and gives full
+    outer-sum rows only at positions where a factor is not unital.
     The larger root always goes under the smaller, so every root is the
     least member of its block and parent[x] <= x throughout; one ascending
     pass then resolves every root.
@@ -310,11 +382,14 @@ def _build_lattice(A: FiniteAlgebra, caps: Caps) -> list[Congruence]:
     # translations, so the walk finds all of them.  The first pair of each
     # principal is never covered, since that would take an earlier pair with
     # the same principal; so the dict is what one closure per pair gives.
-    # On a product the edges are the generators of ``_op_rows``, t x id and
-    # id x u, or full outer-sum rows where a factor is not unital.  Every
-    # basic translation is a composite of generators, so a pair reaches
-    # along generator edges every pair it reached along translation edges,
-    # and each step stays a translation: the walk covers as before.
+    # The edges are the maps of ``_op_rows``: a generating subset of each
+    # position's basic translations on a plain algebra, the factors'
+    # generators lifted, t x id and id x u, on a product, or full outer-sum
+    # rows where a factor is not unital.  Each is a basic translation, and
+    # every basic translation but the identity, whose edges are loops, is a
+    # composite of them.  So a pair reaches along these edges every pair it
+    # reached along translation edges, each walk still follows a composite
+    # of translations, and the walk covers as before.
     gens = _principals(_op_rows(A), n)
     k, vec = len(gens), bytes if vector_type(n) is bytes else _Tuple
     # bytes.translate takes 256-entry tables, so bytes rep tables are padded.
@@ -419,8 +494,10 @@ def _principals(rows, n: int) -> dict[tuple[int, ...], tuple[int, int]]:
     per class of pairs with a common principal (see ``_build_lattice``).
 
     The pair graph has an edge from (x, y) to (f(x), f(y)) for every map f
-    of the rows, which generate the basic translations (``_op_rows``): the
-    aligned entries of row(x) and row(y) of one row function.  Building its
+    of the rows: the aligned entries of row(x) and row(y) of one row
+    function.  From ``_op_rows`` those maps generate the basic translations
+    without listing them all, so a pair of a plain Z6^2 has 2 * 2 + 1 edges
+    where every translation would give 2 * 36 + 1.  Building the
     predecessor lists scans each pair's rows once.
     """
     # Pair (x, y), x < y, is the number x * n + y; pred[q] lists each pair

@@ -224,14 +224,15 @@ def test_principal_congruences_take_one_closure_per_class(monkeypatch):
 
 def test_product_rows_lift_factor_generators():
     # add is unital at both positions on every factor, so each position
-    # scans one lifted row per factor: 12 entries, not 1,728.  neg is
-    # unital on no factor and keeps its one-entry outer-sum row.
+    # scans one lifted row per factor, each holding the one generator x + 1
+    # that Z12 keeps: 3 entries, not 1,728.  neg is unital on no factor and
+    # keeps its one-entry outer-sum row.
     import abelia.congruences as congruences
     from abelia.catalog import _cyclic
     Z12 = _cyclic(12, "Z12")
     P = product(Z12, product(Z12, Z12))
     rows = congruences._op_rows(P)
-    assert sum(len(row(5)) for row in rows) == 2 * (12 + 12 + 12) + 1
+    assert sum(len(row(5)) for row in rows) == 2 * (1 + 1 + 1) + 1
     full = [row for row, _, _ in congruences._product_rows(P)]
     assert sum(len(row(5)) for row in full) == 2 * 1728 + 1
     assert P.tables._built == P.right.tables._built == {"zero": (0,)}

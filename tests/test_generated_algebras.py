@@ -226,16 +226,17 @@ def test_plain_rows_put_x_at_each_position_in_row_major_order():
 
 def test_cg_on_products_of_unital_factors_matches_materialised_tables():
     # On a product whose factors are both unital at an op and position,
-    # _op_rows returns the factors' generator rows lifted one side at a
-    # time; elsewhere it returns the full outer-sum row, which is the first
-    # entry of every _product_rows triple.  Both must give the closures and
-    # lattices of the materialised tables.
+    # _op_rows returns the factors' generators lifted one side at a time;
+    # elsewhere it returns the full outer-sum row, which is the first entry
+    # of every _product_rows triple and equals the materialised tables'
+    # full row.  Both must give the closures and lattices of the
+    # materialised tables.
     lifted = mixed = lattices = 0
     for rng, A, B, C in unital_triples(80, seed=83):
         for P in (product(A, B), product(A, product(B, C))):
             plain = materialised(P)
             full = [row for row, _, _ in congruences._product_rows(P)]
-            for got, expect in zip(full, congruences._op_rows(plain), strict=True):
+            for got, expect in zip(full, congruences._plain_rows(plain), strict=True):
                 assert [got(e) for e in P.elements()] == [expect(e) for e in P.elements()]
             lifted += any(unital_flags(P))
             mixed += any(a != b for a, b in zip(unital_flags(P.left), unital_flags(P.right)))
@@ -380,6 +381,66 @@ def test_principals_match_one_closure_per_pair(monkeypatch):
     assert ternary >= 60 and constants >= 100
     # 1,650 closures for 2,825 pairs
     assert runs * 4 <= pairs * 3
+
+
+def plain_square(n: int) -> FiniteAlgebra:
+    """Z_n x Z_n with its tables read out, as a file would give it."""
+    return materialised(product(_cyclic(n, f"Z{n}"), _cyclic(n, f"Z{n}")))
+
+
+def test_generator_rows_close_like_full_rows():
+    # _op_rows keeps a generating subset of each position's maps; closures
+    # and principals must equal those of every basic translation, which
+    # _plain_rows lists.  The squares of Z17 and Z24 take the tuple path,
+    # the 300-element magma that path and the closure cut too; products
+    # check that a factor's constant maps are kept for the lift: on S2 x S2,
+    # s(x, 0) = 0 lifts to (a, b) -> (0, b).
+    rng = random.Random(89)
+    S2 = FiniteAlgebra("S2", 2, MAGMA, {ZERO_OP: (0,), "s": (0, 0, 0, 1)})
+    B1 = FiniteAlgebra("B1", 1, MAGMA, {ZERO_OP: (0,), "s": (0,)})
+    K5 = FiniteAlgebra("K5", 5, Signature.make((("k", 1),)), {ZERO_OP: (0,), "k": (3,) * 5})
+    M300 = FiniteAlgebra("M300", 300, MAGMA,
+                         {ZERO_OP: (0,), "s": op_table(300, 2, lambda *_: rng.randrange(300))})
+    algebras = [A for _, A in generated(60, seed=89)]
+    algebras += [_cyclic(n, f"Z{n}") for n in range(2, 41)]
+    algebras += [plain_square(n) for n in (*range(2, 13), 16, 17, 24)]
+    algebras += [B1, K5, M300, materialised(product(S2, S2))]
+    for _, A, B, C in unital_triples(40, seed=97):
+        algebras += [materialised(P) for P in (product(A, B), product(A, product(B, C)))]
+    shrunk = principals = 0
+    for A in algebras:
+        n = A.size
+        rows, full = congruences._op_rows(A), congruences._plain_rows(A)
+        for _ in range(3):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+            assert congruences._close(rows, n, pairs) == congruences._close(full, n, pairs), \
+                (A.name, pairs)
+        if n <= 64:
+            got = congruences._principals(rows, n)
+            assert list(got.items()) == list(congruences._principals(full, n).items()), A.name
+            principals += 1
+        shrunk += sum(len(row(0)) for row in rows) < sum(len(row(0)) for row in full)
+    assert principals >= 180 and shrunk >= 150
+    # B1's one map is the identity, so it has no rows; K5 keeps its constant.
+    assert congruences._op_rows(B1) == []
+    assert [congruences._op_rows(K5)[0](x) for x in range(5)] == [(3,)] * 5
+    # M300 keeps every distinct map: its closure outgrows them and is cut.
+    for table, m in congruences._position_tables(M300):
+        assert len(congruences._generators(table, 300, m)) == len(set(table[i::m] for i in range(m)))
+
+
+def test_groups_keep_at_most_log2_n_maps_per_position():
+    # The maps of a group position form a group, the closure of the kept
+    # maps a subgroup, and each kept map at least doubles it (Lagrange).
+    groups = [builtin(name).algebra for name in ("Z2", "Z3", "Z4", "V4")]
+    groups += [_cyclic(n, f"Z{n}") for n in range(2, 41)]
+    groups += [plain_square(n) for n in (*range(2, 13), 16, 17, 24)]
+    for G in groups:
+        kept = [len(congruences._generators(table, G.size, m))
+                for table, m in congruences._position_tables(G)]
+        assert max(kept) <= G.size.bit_length() - 1, (G.name, kept)
+    assert [len(congruences._generators(table, 144, m))
+            for table, m in congruences._position_tables(plain_square(12))] == [2, 2, 1]
 
 
 def test_np_matches_partition_oracle_on_generated_pairs():
